@@ -23,7 +23,7 @@ import sys
 
 from repro import telemetry
 from repro.guard import chaos
-from repro.guard.chaos import ChaosCrash
+from repro.guard.pool import Pool
 from repro.cache import SolveCache
 from repro.cache.keys import cache_key
 from repro.cache.store import entry_from_result
@@ -107,8 +107,9 @@ def _solve_cell(payload):
     kind, logic, config, slot, seed, scale, timeout = payload
     plan = chaos.active()
     chaos_baseline = dict(plan.injected) if plan is not None else {}
-    # A crash here propagates through the pool; the parent drops the cell
-    # (it is recomputed serially on demand) and counts the fault.
+    # An injected crash kills this worker like a real death: the pool
+    # retries the cell once, then the parent drops it and the serial
+    # rendering pass recomputes it on demand.
     chaos.inject("portfolio.worker_spawn", salt=f"{kind}/{logic}/{config}")
     cache = ExperimentCache(seed=seed, scale=scale, timeout=timeout)
     records = {}
@@ -167,8 +168,6 @@ def _precompute_parallel(cache, jobs, store=None):
     runner serves them lazily from the cache (counted as
     ``eval.cache_hit``, never as fresh runs).
     """
-    import multiprocessing
-
     payloads = []
     for logic in LOGICS:
         for profile in SOLVER_PROFILES:
@@ -183,28 +182,29 @@ def _precompute_parallel(cache, jobs, store=None):
                 )
     if not payloads:
         return
-    methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-    results = []
-    with context.Pool(processes=jobs) as pool:
-        handles = [
-            (payload, pool.apply_async(_solve_cell, (payload,)))
-            for payload in payloads
-        ]
-        for payload, handle in handles:
-            try:
-                results.append(handle.get())
-            except ChaosCrash:
-                # The worker died mid-cell: drop it (the serial rendering
-                # pass recomputes it on demand, so verdicts are unchanged)
-                # and make the fault visible in the artifact.
-                kind, logic, config = payload[0], payload[1], payload[2]
+    done = {}
+    pool = Pool(_solve_cell, jobs)
+    try:
+        for payload in payloads:
+            pool.dispatch(payload)
+        while pool.in_flight_count:
+            for kind, payload, result, _ in pool.poll(timeout=None):
+                if kind == "done":
+                    done[payload] = result
+                    continue
+                # The cell's worker died on its first try and on the
+                # retry: drop the cell (the serial rendering pass
+                # recomputes it on demand, so verdicts are unchanged) and
+                # make the loss visible in the artifact.
                 telemetry.counter_add(
-                    "eval.cell_crashed", kind=kind, logic=logic, config=config
+                    "eval.cell_crashed",
+                    kind=payload[0],
+                    logic=payload[1],
+                    config=payload[2],
                 )
-                telemetry.counter_add(
-                    "chaos.injected", point="portfolio.worker_spawn", kind="crash"
-                )
+    finally:
+        pool.close()
+    results = [done[payload] for payload in payloads if payload in done]
     for kind, logic, config, slot, records, entries, chaos_deltas in results:
         if kind == "baseline":
             for name in sorted(records):

@@ -1,6 +1,6 @@
-"""Resource governance and fault injection for the solver stack.
+"""Resource governance, fault injection and process supervision.
 
-Two cooperating subsystems:
+Three cooperating subsystems:
 
 - :mod:`repro.guard.governor` -- the :class:`ResourceBudget` envelope
   (work ceiling, wall-clock deadline, recursion/memory ceilings,
@@ -11,6 +11,10 @@ Two cooperating subsystems:
   (crashes, delays, garbled payloads, budget exhaustion) at named
   points, so the degradation paths are provably exercised by tests and
   the CI chaos smoke.
+- :mod:`repro.guard.pool` -- the supervised worker pool behind every
+  real-process fan-out (``--jobs``, ``staub serve --workers``): private
+  per-worker pipes, reaping through process sentinels, one retry, and
+  zombie-free shutdown.
 """
 
 from repro.guard.governor import (

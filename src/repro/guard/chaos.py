@@ -4,7 +4,8 @@ A :class:`ChaosPlan` is a seeded schedule of faults fired at named
 injection points threaded through the stack:
 
 - ``solver.pre_solve``   -- the facade, before dispatching an engine;
-- ``portfolio.worker_spawn`` -- inside a freshly spawned race/pool worker;
+- ``portfolio.worker_spawn`` -- as a race lane or run_all cell starts in
+  its pool worker;
 - ``cache.load`` / ``cache.persist`` -- the persistent solve cache's
   read and write paths (payload garbling);
 - ``telemetry.flush``    -- the JSONL span writer;

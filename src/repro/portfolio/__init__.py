@@ -4,8 +4,8 @@ Public surface:
 
 - :class:`~repro.portfolio.scheduler.InterleavingScheduler` --
   deterministic virtual-clock racing (byte-reproducible).
-- :func:`~repro.portfolio.scheduler.parallel_race` -- real
-  ``multiprocessing`` racing for ``--jobs N``.
+- :func:`~repro.portfolio.scheduler.parallel_race` -- racing on real
+  worker processes for ``--jobs N``.
 - :func:`~repro.portfolio.scheduler.race_precomputed` -- portfolio
   accounting over already-computed lane outcomes (used by
   :func:`repro.core.pipeline.portfolio_time`).

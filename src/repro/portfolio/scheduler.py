@@ -8,11 +8,12 @@ Two execution models share one outcome shape:
   shape portfolio SAT solvers use. No wall clock, no OS scheduling:
   the winner, every per-lane work figure, and all telemetry are
   byte-identical across runs.
-- :func:`parallel_race` -- real ``multiprocessing`` workers, one per
-  lane, for the evaluation runner's ``--jobs N`` mode. The first
-  conclusive answer wins and the losing processes are terminated. The
-  *status* matches the deterministic model (all conclusive lanes agree),
-  but the winning lane and wall-clock are scheduling-dependent.
+- :func:`parallel_race` -- real worker processes (a
+  :class:`~repro.guard.pool.Pool`), for ``staub portfolio --jobs N``.
+  The first conclusive answer wins and the losing processes are
+  terminated. The *status* matches the deterministic model (all
+  conclusive lanes agree), but the winning lane and wall-clock are
+  scheduling-dependent.
 
 This module deliberately imports nothing from :mod:`repro.core` or
 :mod:`repro.solver`; lane behavior lives in task objects (see
@@ -24,36 +25,13 @@ without an import cycle.
 from repro import guard, telemetry
 from repro.errors import ReproError
 from repro.guard import chaos
+from repro.guard.pool import CRASH_RETRIES, Pool
 
 #: First-round per-lane budget for the interleaved scheduler.
 DEFAULT_SLICE = 4096
 
 #: Budget multiplier between rounds.
 DEFAULT_GROWTH = 4
-
-#: Wall seconds before relaunching a crashed parallel lane (doubles per crash).
-CRASH_RETRY_BACKOFF = 0.05
-
-#: How many times a crashed lane is relaunched before being written off.
-CRASH_RETRIES = 1
-
-
-def terminate_processes(processes, join_timeout=5.0):
-    """Terminate, join, and as a last resort kill every process given.
-
-    The zombie-freedom primitive shared by :func:`parallel_race` and the
-    solve service's worker pool: after this returns, none of the given
-    processes is running (``kill`` is the escalation when ``terminate``
-    is ignored).
-    """
-    for process in processes:
-        if process.is_alive():
-            process.terminate()
-        process.join(timeout=join_timeout)
-        if process.is_alive():  # terminate was ignored: last resort
-            process.kill()
-            process.join(timeout=join_timeout)
-
 
 class Attempt:
     """One lane's run at one slice budget.
@@ -280,32 +258,24 @@ class InterleavingScheduler:
 # -- real parallelism -------------------------------------------------------
 
 
-def _race_worker(task, script_text, budget, index, queue):
-    """Run one lane in a worker process and report a picklable summary."""
-    import os
-
+def _race_lane(tasks, script_text, budget, index):
+    """Pool task: run lane ``index`` and report a picklable summary."""
     from repro.cache.store import encode_model
     from repro.smtlib.parser import parse_script
 
+    chaos.inject("portfolio.worker_spawn", salt=str(index))
     try:
-        chaos.inject("portfolio.worker_spawn", salt=str(index))
-    except chaos.ChaosCrash:
-        os._exit(70)  # simulated hard crash: no result, nonzero exit code
-    try:
-        script = parse_script(script_text)
-        attempt = task.attempt(script, budget)
-        model = getattr(attempt.payload, "model", None)
-        try:
-            encoded = encode_model(model)
-        except TypeError:
-            encoded = None
-        queue.put(
-            (index, task.name, attempt.status, attempt.conclusive, attempt.work, encoded)
-        )
+        attempt = tasks[index].attempt(parse_script(script_text), budget)
     except ReproError as error:
         # Known solver failures become inconclusive attempts; anything
-        # else kills the worker and is handled as a crash by the parent.
-        queue.put((index, task.name, "error", False, 0, repr(error)))
+        # else kills the worker and is handled as a crash by the pool.
+        return ("error", False, 0, repr(error))
+    model = getattr(attempt.payload, "model", None)
+    try:
+        encoded = encode_model(model)
+    except TypeError:
+        encoded = None
+    return (attempt.status, attempt.conclusive, attempt.work, encoded)
 
 
 def parallel_race(tasks, script, budget=None, jobs=None, wall_timeout=600.0):
@@ -324,15 +294,13 @@ def parallel_race(tasks, script, budget=None, jobs=None, wall_timeout=600.0):
         model dict (or None); per-lane work is as reported by the lanes
         that finished before the race was decided.
 
-    Crash recovery: a worker that dies without reporting (segfault,
-    ``os._exit``, injected :class:`~repro.guard.chaos.ChaosCrash`) is
-    relaunched once after an exponential backoff, then written off with a
-    ``portfolio.lane_crashed`` counter and a ``"crashed"`` attempt. On
-    every exit path all children are terminated and joined -- the race
-    never leaks a process.
+    The lanes run on a :class:`~repro.guard.pool.Pool`: a lane whose
+    worker dies without reporting is retried once, then written off with
+    a ``portfolio.lane_crashed`` counter and a ``"crashed"`` attempt.
+    Once the race is decided (or the deadline passes), the losing lanes'
+    workers are terminated -- the race never leaks a process.
     """
-    import multiprocessing
-    import queue as queue_module
+    import functools
     import time
 
     from repro.cache.store import decode_model
@@ -341,106 +309,44 @@ def parallel_race(tasks, script, budget=None, jobs=None, wall_timeout=600.0):
     tasks = list(tasks)
     if not tasks:
         raise ValueError("cannot race an empty portfolio")
-    methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-    results_queue = context.Queue()
-    text = print_script(script)
-    jobs = len(tasks) if jobs is None else max(1, jobs)
-
     governor = guard.active()
     deadline = time.monotonic() + wall_timeout
     if governor.deadline is not None:
         deadline = min(deadline, governor.deadline.at)
 
-    task_by_index = dict(enumerate(tasks))
-    pending = list(enumerate(tasks))
-    delayed = []  # (ready_at, index, task): crashed lanes awaiting relaunch
-    running = {}
-    crash_counts = {}
+    jobs = len(tasks) if jobs is None else max(1, jobs)
+    lane = functools.partial(_race_lane, tasks, print_script(script), budget)
+    pool = Pool(lane, min(jobs, len(tasks)))
     attempts = []
     winner = None
-
-    def launch(now):
-        for entry in [entry for entry in delayed if entry[0] <= now]:
-            delayed.remove(entry)
-            pending.append((entry[1], entry[2]))
-        while pending and len(running) < jobs:
-            index, task = pending.pop(0)
-            process = context.Process(
-                target=_race_worker,
-                args=(task, text, budget, index, results_queue),
-                daemon=True,
-            )
-            process.start()
-            running[index] = process
-
-    def handle(message):
-        index, lane, status, conclusive, work, model = message
-        process = running.pop(index, None)
-        if process is not None:
-            process.join(timeout=5)
-        if status == "error":
-            telemetry.counter_add(
-                "solver.internal_error", site="parallel_race", lane=lane
-            )
-            return None
-        payload = None
-        if conclusive and model is not None:
-            payload = _ModelPayload(decode_model(model))
-        attempt = Attempt(lane, status, conclusive, work, payload)
-        attempts.append(attempt)
-        return attempt if conclusive else None
-
-    def reap(index):
-        """A worker died without reporting: retry once, then write off."""
-        process = running.pop(index)
-        process.join(timeout=5)
-        lane = task_by_index[index].name
-        count = crash_counts.get(index, 0) + 1
-        crash_counts[index] = count
-        if count <= CRASH_RETRIES:
-            backoff = CRASH_RETRY_BACKOFF * (2 ** (count - 1))
-            delayed.append((time.monotonic() + backoff, index, task_by_index[index]))
-        else:
-            telemetry.counter_add("portfolio.lane_crashed", lane=lane)
-            attempts.append(Attempt(lane, "crashed", False, 0))
-
     try:
-        launch(time.monotonic())
-        while winner is None and (running or pending or delayed):
+        for index in range(len(tasks)):
+            pool.dispatch(index)
+        while winner is None and pool.in_flight_count:
             now = time.monotonic()
             if now >= deadline or governor.interrupted("portfolio"):
                 break
-            launch(now)
-            try:
-                message = results_queue.get(
-                    timeout=min(0.1, max(0.01, deadline - now))
-                )
-            except queue_module.Empty:
-                message = None
-            if message is not None:
-                winner = handle(message)
-                continue
-            for index in [
-                index
-                for index, process in running.items()
-                if not process.is_alive()
-            ]:
-                # Drain first: the worker may have queued its result just
-                # before exiting; losing it would misreport a crash.
-                try:
-                    leftover = results_queue.get(timeout=0.2)
-                except queue_module.Empty:
-                    leftover = None
-                if leftover is not None:
-                    results_queue.put(leftover)
-                    if leftover[0] == index:
-                        continue  # processed on the next loop iteration
-                reap(index)
+            for kind, index, result, _ in pool.poll(min(0.1, deadline - now)):
+                name = tasks[index].name
+                if kind == "crashed":
+                    telemetry.counter_add("portfolio.lane_crashed", lane=name)
+                    attempts.append(Attempt(name, "crashed", False, 0))
+                    continue
+                status, conclusive, work, model = result
+                if status == "error":
+                    telemetry.counter_add(
+                        "solver.internal_error", site="parallel_race", lane=name
+                    )
+                    continue
+                payload = None
+                if conclusive and model is not None:
+                    payload = _ModelPayload(decode_model(model))
+                attempt = Attempt(name, status, conclusive, work, payload)
+                attempts.append(attempt)
+                if conclusive and winner is None:
+                    winner = attempt
     finally:
-        # No zombies: every child is terminated and joined on every path.
-        terminate_processes(running.values())
-        results_queue.cancel_join_thread()
+        pool.close()
 
     total = sum(attempt.work for attempt in attempts)
     if winner is not None:

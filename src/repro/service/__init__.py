@@ -6,9 +6,9 @@ The package splits along failure domains:
   line terminates with a structured response, malformed input included.
 - :mod:`repro.service.tenancy` -- per-tenant fairness as child budgets
   of one global :class:`~repro.guard.ResourceBudget`.
-- :mod:`repro.service.workers` -- inline or process-pool execution with
-  bounded crash retry (the reap/backoff idioms of
-  :func:`repro.portfolio.scheduler.parallel_race`).
+- :mod:`repro.service.workers` -- inline execution, or a
+  :class:`~repro.guard.pool.Pool` of worker processes with bounded
+  crash retry.
 - :mod:`repro.service.server` -- admission control, the bounded queue,
   batched sharded-cache flushes, and the stdio/socket transports.
 """

@@ -235,37 +235,22 @@ class SolveService:
         while self._pending and self.pool.idle_count:
             ticket = self._pending.popleft()
             self.pool.dispatch(ticket.request)
-        for kind, request, payload, entry in self.pool.poll(
+        for kind, request, result, reason in self.pool.poll(
             timeout=0.05 if block else 0.0
         ):
-            ticket = self._tickets.get(request.salt)
-            if ticket is None:
-                continue  # already answered (e.g. superseded retry)
+            ticket = self._tickets.pop(request.salt)
             if kind == "done":
-                self._pending_remove(ticket)
-                responses.append(self._complete(ticket, payload, entry))
-            elif kind == "retry":
-                self._pending.appendleft(ticket)
-            else:  # crashed
-                self._pending_remove(ticket)
-                self._tickets.pop(request.salt, None)
-                reason = payload  # the event's reason slot
-                self.rejected[reason] = self.rejected.get(reason, 0) + 1
-                telemetry.counter_add("service.rejected", reason=reason)
-                responses.append(
-                    (ticket.client, protocol.rejection_response(request, reason))
-                )
-                self.completed += 1
+                responses.append(self._complete(ticket, *result))
+                continue
+            self.rejected[reason] = self.rejected.get(reason, 0) + 1
+            telemetry.counter_add("service.rejected", reason=reason)
+            responses.append(
+                (ticket.client, protocol.rejection_response(request, reason))
+            )
+            self.completed += 1
         return responses
 
-    def _pending_remove(self, ticket):
-        try:
-            self._pending.remove(ticket)
-        except ValueError:
-            pass  # normal: it was dispatched, not pending
-
     def _complete(self, ticket, payload, entry):
-        self._tickets.pop(ticket.request.salt, None)
         self.completed += 1
         work = payload.get("work") or 0
         if isinstance(work, int):
@@ -374,7 +359,7 @@ def _emit_stream(outstream, responses):
         outstream.flush()
 
 
-def serve_stream(service, instream, outstream, drain_wait=None):
+def serve_stream(service, instream, outstream):
     """Serve NDJSON requests from one stream (the stdio transport).
 
     Returns the number of worker processes abandoned at close (0 in a
@@ -388,7 +373,7 @@ def serve_stream(service, instream, outstream, drain_wait=None):
             _emit_stream(outstream, service.pump())
             if service.shutdown_requested:
                 break
-        _emit_stream(outstream, service.drain(max_wait=drain_wait))
+        _emit_stream(outstream, service.drain())
         _emit_stream(outstream, service.finish())
     finally:
         abandoned = service.close()

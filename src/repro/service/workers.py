@@ -6,42 +6,26 @@ Two modes share one request-execution function (:func:`run_request`):
   grandchild :class:`~repro.guard.ResourceBudget` of the tenant's
   budget. Fully deterministic -- the mode the differential tests and the
   saturation-semantics tests use.
-- **process pool** (``workers=N``): N persistent worker processes, each
-  with its own task queue (so the parent always knows which request a
-  dead worker was holding) and one shared result queue. Crash recovery
-  reuses the reap/backoff idioms of
-  :func:`repro.portfolio.scheduler.parallel_race`: a worker that dies
-  without reporting is reaped (result queue drained first, so a result
-  racing the exit is never misreported as a crash), the replacement is
-  spawned after an exponential backoff, and the in-flight request is
-  retried once before degrading to a structured ``unknown
-  (reason=worker_crashed)``.
+- **process pool** (``workers=N``): N persistent worker processes on a
+  :class:`~repro.guard.pool.Pool`, each with a private pipe, so the
+  parent always knows which request a dead worker was holding and reads
+  any result it sent before dying. A worker that dies without reporting
+  is replaced, and its request is retried once after a short backoff
+  before degrading to a structured ``unknown (reason=worker_crashed)``.
 
 A request whose wall ``timeout`` expires is first cancelled
 *cooperatively* (the worker's own governor deadline trips in the solve
 hot loops); only when a worker overstays the grace window on top of that
-is it terminated -- which then takes the ordinary crash path, bounded by
-the same single retry.
+is it terminated, and the request degrades with ``reason=deadline``.
 """
-
-import os
-import time
 
 from repro import guard, telemetry
 from repro.errors import ReproError
 from repro.guard import chaos
-from repro.portfolio.scheduler import (
-    CRASH_RETRIES,
-    CRASH_RETRY_BACKOFF,
-    terminate_processes,
-)
+from repro.guard.pool import Pool
 from repro.service import protocol
 
 __all__ = ["WorkerPool", "run_request"]
-
-#: Extra wall seconds past a request's cooperative deadline before the
-#: parent hard-terminates the worker holding it.
-TIMEOUT_GRACE = 5.0
 
 
 def run_request(request, governor=None, script=None, cache=None):
@@ -118,208 +102,47 @@ def run_request(request, governor=None, script=None, cache=None):
     return payload, entry
 
 
-def _service_worker(worker_id, task_queue, result_queue):
-    """One persistent pool worker: loop on requests until the pill.
+def _serve_request(request):
+    """Pool task: one request in a worker process.
 
-    An injected :class:`~repro.guard.chaos.ChaosCrash` exits hard
-    (``os._exit``) exactly like a real segfault, so the parent's reap
-    path is genuinely exercised. Any non-:class:`ReproError` escaping
-    :func:`run_request` also kills the worker and takes the crash path.
+    An injected :class:`~repro.guard.chaos.ChaosCrash` kills the worker
+    like a real segfault (see :mod:`repro.guard.pool`), so the crash path
+    is genuinely exercised.
     """
-    while True:
-        request = task_queue.get()
-        if request is None:
-            break
-        try:
-            chaos.inject("service.worker_crash", salt=request.salt)
-        except chaos.ChaosCrash:
-            os._exit(70)  # simulated hard crash: no result, nonzero exit
-        payload, entry = run_request(request)
-        result_queue.put((worker_id, request.salt, payload, entry))
-
-
-class _Worker:
-    __slots__ = ("process", "task_queue")
-
-    def __init__(self, process, task_queue):
-        self.process = process
-        self.task_queue = task_queue
+    chaos.inject("service.worker_crash", salt=request.salt)
+    return run_request(request)
 
 
 class WorkerPool:
-    """Persistent solve workers with bounded crash retry.
+    """The service's persistent worker processes.
 
-    Events from :meth:`poll` are ``("done", request, payload, entry)``,
-    ``("retry", request, None, None)`` (the caller should re-enqueue at
-    the front), and ``("crashed", request, reason, None)`` where
-    ``reason`` is ``worker_crashed``.
+    A :class:`~repro.guard.pool.Pool` running :func:`run_request`, where
+    each request's wall ``timeout`` bounds how long its worker may hold
+    it. Events from :meth:`poll` are ``("done", request, (payload,
+    entry), None)`` and ``("crashed", request, None, reason)`` with
+    ``reason`` ``worker_crashed`` (its worker died twice) or
+    ``deadline`` (it overstayed its timeout).
     """
 
     def __init__(self, workers):
-        import multiprocessing
-
-        if workers < 1:
-            raise ValueError("WorkerPool needs at least one worker")
-        methods = multiprocessing.get_all_start_methods()
-        self._context = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
-        self._result_queue = self._context.Queue()
-        self._workers = {}  # worker id -> _Worker
-        self._idle = []  # worker ids, kept sorted for determinism
-        self._in_flight = {}  # worker id -> (request, dispatched_at)
-        self._crashes = {}  # request salt -> crash count
-        self._timed_out = set()  # worker ids terminated for overstaying
-        self._next_id = 0
-        self.size = workers
-        for _ in range(workers):
-            self._spawn()
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def _spawn(self):
-        worker_id = self._next_id
-        self._next_id += 1
-        task_queue = self._context.Queue()
-        process = self._context.Process(
-            target=_service_worker,
-            args=(worker_id, task_queue, self._result_queue),
-            daemon=True,
-        )
-        process.start()
-        self._workers[worker_id] = _Worker(process, task_queue)
-        self._idle.append(worker_id)
-        self._idle.sort()
-        return worker_id
-
-    def shutdown(self):
-        """Stop every worker; returns the number abandoned in-flight.
-
-        Pills first (a healthy worker drains and exits), then the
-        :func:`terminate_processes` escalation -- the pool never leaks a
-        process, mirroring ``parallel_race``'s exit guarantee.
-        """
-        for worker in self._workers.values():
-            try:
-                worker.task_queue.put(None)
-            except (OSError, ValueError):
-                pass  # queue already broken: terminate below
-        for worker in self._workers.values():
-            worker.process.join(timeout=2)
-        terminate_processes(w.process for w in self._workers.values())
-        for worker in self._workers.values():
-            worker.task_queue.cancel_join_thread()
-        self._result_queue.cancel_join_thread()
-        abandoned = len(self._in_flight)
-        self._workers.clear()
-        self._idle = []
-        self._in_flight.clear()
-        return abandoned
-
-    # -- dispatch ----------------------------------------------------------
+        self._pool = Pool(_serve_request, workers)
 
     @property
     def idle_count(self):
-        return len(self._idle)
+        return self._pool.idle_count
 
     @property
     def in_flight_count(self):
-        return len(self._in_flight)
+        return self._pool.in_flight_count
 
     def dispatch(self, request):
-        """Hand a request to the lowest-numbered idle worker."""
-        worker_id = self._idle.pop(0)
-        self._in_flight[worker_id] = (request, time.monotonic())
-        self._workers[worker_id].task_queue.put(request)
-        return worker_id
-
-    # -- completion --------------------------------------------------------
+        """Hand a request to an idle worker."""
+        self._pool.dispatch(request, timeout=request.timeout)
 
     def poll(self, timeout=0.0):
-        """Collect one round of completions, crashes, and retries."""
-        import queue as queue_module
+        """Collect this round's completions and write-offs."""
+        return self._pool.poll(timeout)
 
-        events = []
-        try:
-            message = self._result_queue.get(timeout=timeout) if timeout else (
-                self._result_queue.get_nowait()
-            )
-        except queue_module.Empty:
-            message = None
-        if message is not None:
-            worker_id, salt, payload, entry = message
-            holding = self._in_flight.pop(worker_id, None)
-            if holding is not None:
-                self._idle.append(worker_id)
-                self._idle.sort()
-                events.append(("done", holding[0], payload, entry))
-        self._kill_overstayers()
-        events.extend(self._reap_dead())
-        return events
-
-    def _kill_overstayers(self):
-        """Terminate workers past cooperative deadline plus grace."""
-        now = time.monotonic()
-        for worker_id, (request, started) in list(self._in_flight.items()):
-            if request.timeout is None:
-                continue
-            if now - started > request.timeout + TIMEOUT_GRACE:
-                worker = self._workers[worker_id]
-                if worker.process.is_alive():
-                    worker.process.terminate()
-                self._timed_out.add(worker_id)
-                telemetry.counter_add("service.worker_timeout")
-
-    def _reap_dead(self):
-        """Handle workers that died without reporting (crash path)."""
-        import queue as queue_module
-
-        events = []
-        for worker_id in [
-            wid
-            for wid, worker in self._workers.items()
-            if not worker.process.is_alive()
-        ]:
-            # Drain first: the worker may have queued its result just
-            # before exiting; losing it would misreport a crash.
-            try:
-                leftover = self._result_queue.get(timeout=0.2)
-            except queue_module.Empty:
-                leftover = None
-            if leftover is not None:
-                self._result_queue.put(leftover)
-                if leftover[0] == worker_id:
-                    continue  # a real result: processed on the next poll
-            events.extend(self._reap(worker_id))
-        return events
-
-    def _reap(self, worker_id):
-        worker = self._workers.pop(worker_id)
-        worker.process.join(timeout=5)
-        worker.task_queue.cancel_join_thread()
-        if worker_id in self._idle:
-            self._idle.remove(worker_id)
-        holding = self._in_flight.pop(worker_id, None)
-        timed_out = worker_id in self._timed_out
-        self._timed_out.discard(worker_id)
-        telemetry.counter_add("service.worker_crash")
-        if holding is None:
-            self._spawn()
-            return []
-        request = holding[0]
-        if timed_out:
-            # The cooperative deadline already failed; retrying would
-            # just overstay again. Degrade like a governor deadline.
-            self._spawn()
-            return [("crashed", request, "deadline", None)]
-        count = self._crashes.get(request.salt, 0) + 1
-        self._crashes[request.salt] = count
-        if count <= CRASH_RETRIES:
-            # Exponential backoff before the replacement takes over the
-            # retried request (same shape as parallel_race's relaunch).
-            time.sleep(CRASH_RETRY_BACKOFF * (2 ** (count - 1)))
-            self._spawn()
-            telemetry.counter_add("service.request_retried")
-            return [("retry", request, None, None)]
-        self._spawn()
-        return [("crashed", request, "worker_crashed", None)]
+    def shutdown(self):
+        """Stop every worker; returns the number abandoned in flight."""
+        return self._pool.close()

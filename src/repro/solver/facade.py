@@ -6,8 +6,7 @@ theory engine, and reports results on the unified virtual clock
 (:mod:`repro.solver.costs`).
 
 Both paths populate the same uniform ``stats`` dict on the result (see
-:mod:`repro.telemetry.stats`); the historical engine-specific ``detail``
-dict survives as a deprecated alias of ``stats``.
+:mod:`repro.telemetry.stats`).
 
 When a :class:`~repro.cache.SolveCache` is active (installed via
 :func:`repro.cache.set_cache` or passed explicitly), solves are keyed by

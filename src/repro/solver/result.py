@@ -21,27 +21,17 @@ class SolveResult:
         cached: True when the result was served from a solve cache
             rather than a fresh engine run (``work`` is then the work of
             the original solve, not of the lookup).
-        detail: deprecated alias for ``stats``.
     """
 
     __slots__ = ("status", "model", "work", "engine", "stats", "cached")
 
-    def __init__(
-        self, status, model=None, work=0, engine="", stats=None, detail=None, cached=False
-    ):
+    def __init__(self, status, model=None, work=0, engine="", stats=None, cached=False):
         self.status = status
         self.model = model
         self.work = work
         self.engine = engine
         self.cached = cached
-        # ``detail=`` is the pre-telemetry spelling; accept it so old
-        # callers keep working, but the canonical attribute is ``stats``.
-        self.stats = stats if stats is not None else (detail if detail is not None else {})
-
-    @property
-    def detail(self):
-        """Deprecated alias for :attr:`stats`."""
-        return self.stats
+        self.stats = stats if stats is not None else {}
 
     @property
     def is_sat(self):

@@ -380,3 +380,68 @@ class TestSolverChaos:
         chaotic = solve_script(script, budget=400000)
         assert clean.status == chaotic.status == "sat"
         assert chaotic.model == clean.model
+
+
+# Runs run_all twice: fault-free with --jobs 1, then with --jobs 2 where
+# every corvus baseline cell kills its worker process outright (a real
+# death mid-cell, not a raised ChaosCrash). Prints both renderings.
+_WORKER_DEATH_SCRIPT = """
+import contextlib, io, json, os, sys
+from repro.evaluation import run_all
+
+argv = ["--experiment", "table2", "--scale", "0.05", "--timeout", "50000",
+        "--telemetry", sys.argv[1]]
+serial = io.StringIO()
+with contextlib.redirect_stdout(serial):
+    run_all.main(argv)
+
+parent = os.getpid()
+solve_script = run_all.solve_script
+
+def die_in_worker(script, **kwargs):
+    if os.getpid() != parent and kwargs["profile"] == "corvus":
+        os._exit(9)
+    return solve_script(script, **kwargs)
+
+run_all.solve_script = die_in_worker
+parallel = io.StringIO()
+with contextlib.redirect_stdout(parallel):
+    run_all.main(argv + ["--jobs", "2"])
+json.dump({"serial": serial.getvalue(), "parallel": parallel.getvalue()}, sys.stdout)
+"""
+
+
+class TestRunAllWorkerDeath:
+    def test_cells_whose_worker_died_are_recomputed_serially(self, tmp_path):
+        import json
+        import subprocess
+        import sys
+
+        from repro.evaluation.runner import LOGICS
+
+        telemetry_path = tmp_path / "telemetry.json"
+        env = dict(os.environ)
+        env.pop(chaos.ENV_VAR, None)
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        src = os.path.join(root, "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        # A lost cell used to hang the run: the timeout turns that into a
+        # failure.
+        proc = subprocess.run(
+            [sys.executable, "-c", _WORKER_DEATH_SCRIPT, str(telemetry_path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=180,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs = json.loads(proc.stdout)
+        assert outputs["parallel"] == outputs["serial"]
+        metrics = json.loads(telemetry_path.read_text())["metrics"]
+        crashed = {k: v for k, v in metrics.items() if k.startswith("eval.cell_crashed")}
+        assert sorted(crashed) == sorted(
+            f"eval.cell_crashed{{config=corvus,kind=baseline,logic={logic}}}"
+            for logic in LOGICS
+        )
+        assert set(crashed.values()) == {1}
+        assert metrics["pool.task_retried"] == len(LOGICS)  # each retried once

@@ -415,6 +415,36 @@ class TestWorkerPool:
         assert multiprocessing.active_children() == []
 
 
+class TestPoolCrashStress:
+    """Exactly one response per admitted request at any crash rate.
+
+    Each worker answers on its own pipe, so a worker killed mid-request
+    can lose nothing but its own request's attempt; over a shared result
+    queue, one death while holding the queue's lock lost every later
+    result.
+    """
+
+    @pytest.mark.parametrize("rate", (0.2, 0.5, 0.9))
+    @pytest.mark.parametrize("seed", (1, 2, 3, 4, 5))
+    def test_one_response_per_admitted_request(self, seed, rate):
+        chaos.install(
+            ChaosPlan(seed, rate, kinds=_only_at(**{"service.worker_crash": ("crash",)}))
+        )
+        service = SolveService(workers=2)
+        try:
+            for index in range(24):
+                assert service.submit_line(_line(id=index)) == []  # admitted
+            responses = service.drain(max_wait=60)
+            assert sorted(payload["id"] for _, payload in responses) == list(range(24))
+            for _, payload in responses:
+                assert payload["status"] in ("sat", "unknown")
+                if payload["status"] == "unknown":
+                    assert payload["reason"] in ("worker_crashed", "deadline")
+        finally:
+            assert service.close() == 0
+        assert multiprocessing.active_children() == []
+
+
 # -- the chaos load drill (ISSUE 9 acceptance) --------------------------------
 
 

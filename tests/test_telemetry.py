@@ -173,14 +173,6 @@ class TestUnifiedStats:
         assert bv.stats["cnf_clauses"] > 0
         assert nia.stats["contractions"] > 0
 
-    def test_detail_is_alias_of_stats(self):
-        script = parse_script(
-            "(declare-fun v () (_ BitVec 6))(assert (= (bvmul v v) (_ bv36 6)))"
-        )
-        result = solve_script(script, budget=1_000_000)
-        assert result.detail is result.stats
-        assert result.detail["cnf_vars"] == result.stats["cnf_vars"]
-
     def test_arbitrage_report_stats(self):
         report = Staub().run(parse_script(CUBES), budget=1_200_000)
         assert report.case == "verified-sat"
