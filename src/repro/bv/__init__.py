@@ -4,10 +4,12 @@
   operator set (arithmetic, division, shifts, comparisons, overflow
   predicates) into CNF over the CDCL core.
 - :mod:`repro.bv.solver` -- the end-to-end QF_BV/QF_FP-fixed-point solver:
-  blast, solve, reconstruct a model of :class:`~repro.smtlib.values.BVValue`.
+  one :class:`~repro.bv.solver.BoundedEngine` blasts, solves under
+  assumption literals, and reconstructs a model of
+  :class:`~repro.smtlib.values.BVValue`.
 """
 
 from repro.bv.bitblast import BitBlaster
-from repro.bv.solver import solve_bounded_script
+from repro.bv.solver import BoundedEngine, solve_bounded_script
 
-__all__ = ["BitBlaster", "solve_bounded_script"]
+__all__ = ["BitBlaster", "BoundedEngine", "solve_bounded_script"]

@@ -4,12 +4,20 @@ This is the "cheap side" of the theory arbitrage: a bounded script (Bool
 and bitvector variables) is bit-blasted into CNF and handed to the CDCL
 core. Statistics and the deterministic work counter flow back out so the
 evaluation harness can measure T_post reproducibly.
+
+Every bounded solve runs on a :class:`BoundedEngine`: blast once, then
+solve under a list of assumption literals. A one-shot solve asserts hard
+clauses and checks once with no assumptions; core extraction checks once
+under one literal per assertion; sessions and width refinement keep one
+engine alive and check it under whatever literals are live.
 """
+
+from collections import namedtuple
 
 from repro import guard, telemetry
 from repro.bv.bitblast import BitBlaster
 from repro.errors import UnsupportedLogicError
-from repro.sat.solver import SAT, UNSAT, SatSolver, SatStats
+from repro.sat.solver import SAT, UNSAT, SatSolver
 from repro.telemetry.stats import unified_stats
 
 
@@ -49,6 +57,202 @@ class BoundedResult:
 BLAST_WORK_PER_CLAUSE = 1
 
 
+#: What one :meth:`BoundedEngine.check` found.
+#:
+#: - ``status``: ``"sat"``, ``"unsat"``, or ``"unknown"``;
+#: - ``model``: name -> value over the engine's declarations when sat;
+#: - ``core``: after unsat, the owners of the assumption literals in the
+#:   final conflict; None when no assumption took part (a root conflict)
+#:   and after sat or unknown;
+#: - ``root``: True when the hard clauses were already contradictory, so
+#:   the check answered unsat without a search;
+#: - ``work``: solver work this check did (attaching its new clauses,
+#:   then the search);
+#: - ``reused``: learned clauses retained when the search started;
+#: - ``search``: the solver's counters over the search alone.
+BoundedCheck = namedtuple(
+    "BoundedCheck",
+    "status model core root work reused search",
+)
+
+
+class BoundedEngine:
+    """A bit-blaster and the SAT solver attached to its arena.
+
+    The CNF only grows. A term asserted with :meth:`assert_hard` is a
+    hard clause; a term's literal passed to :meth:`check` (see
+    :meth:`owners`) is a retractable assumption: leaving it out of the
+    next check leaves its clauses inert, so learned clauses
+    (consequences of the clause database alone) survive every check.
+
+    Args:
+        declarations: name -> sort of the variables a model covers, kept
+            by reference (see :attr:`declarations`).
+
+    Raises:
+        UnsupportedLogicError: a variable is not Bool or bitvector
+            sorted (FP solving goes through the fixed-point encoding).
+    """
+
+    def __init__(self, declarations):
+        self.declarations = declarations
+        self.blaster = BitBlaster()
+        # Structure sharing: the solver watches the blaster's arena
+        # blocks in place; _sync attaches new blocks without copying.
+        self.solver = SatSolver(cnf=self.blaster.cnf)
+        self._synced = 0
+        self.checks = 0
+
+    @property
+    def declarations(self):
+        """name -> sort of the variables a model covers.
+
+        Assigning checks every sort, so a caller whose declarations grow
+        re-assigns them before each check.
+        """
+        return self._declarations
+
+    @declarations.setter
+    def declarations(self, declarations):
+        for name, sort in declarations.items():
+            if not (sort.is_bool or sort.is_bv):
+                raise UnsupportedLogicError(
+                    f"bounded solver cannot handle variable {name} of sort {sort}"
+                )
+        self._declarations = declarations
+
+    @property
+    def cnf_vars(self):
+        return self.blaster.cnf.num_vars
+
+    @property
+    def cnf_clauses(self):
+        return len(self.blaster.cnf)
+
+    @property
+    def pending_clauses(self):
+        """Clauses blasted since the last attach; the next check attaches
+        them."""
+        return len(self.blaster.cnf) - self._synced
+
+    @property
+    def permanently_unsat(self):
+        """True once the hard (assumption-free) clauses are contradictory.
+
+        No assumption set can help then; every later check answers unsat
+        without a search (see :meth:`repro.sat.solver.SatSolver.okay`).
+        """
+        return not self.solver.okay()
+
+    def owners(self, pairs):
+        """Group ``(term, owner)`` pairs by the term's Tseitin output
+        literal, in order.
+
+        The result is what :meth:`check` takes: assumption literal ->
+        every owner standing for it (terms that blast to one literal
+        share one assumption and are all named in a core). Each term is
+        blasted once: the blaster memoizes every term it has seen.
+        """
+        owners = {}
+        for term, owner in pairs:
+            owners.setdefault(self.blaster.blast_bool(term), []).append(owner)
+        return owners
+
+    def assert_hard(self, assertions, label, **attrs):
+        """Assert terms as hard clauses, billed to a ``blast`` span.
+
+        Meant for a fresh engine: the span and the returned blast work
+        cover every clause in the CNF. ``label`` tags the ``blast.*``
+        counters; ``attrs`` are the span's attributes.
+        """
+        with telemetry.span("blast", **attrs) as span:
+            for assertion in assertions:
+                self.blaster.assert_term(assertion)
+            blast_work = BLAST_WORK_PER_CLAUSE * self.cnf_clauses
+            span.add_work(blast_work)
+        if telemetry.enabled:
+            telemetry.record_counters(
+                {
+                    "cnf_vars": self.cnf_vars,
+                    "cnf_clauses": self.cnf_clauses,
+                    **self.blaster.stats.as_dict(),
+                },
+                prefix="blast",
+                engine=label,
+            )
+        return blast_work
+
+    def _sync(self):
+        """Attach the pending clauses in place."""
+        cnf = self.blaster.cnf
+        if self.pending_clauses:
+            self.solver.attach(start=self._synced)
+            self._synced = len(cnf)
+        if self.solver.num_vars < cnf.num_vars:
+            self.solver.grow_to(cnf.num_vars)
+
+    def check(self, owners, max_work=None, max_conflicts=None):
+        """Solve under the assumption literals that key ``owners``.
+
+        Args:
+            owners: assumption literal -> list of its owners, in
+                assumption order (see :meth:`owners`); empty for a solve
+                of the hard clauses alone.
+            max_work: search budget. Work spent attaching clauses inside
+                this check is deducted from it first; a caller that
+                attaches with :meth:`_sync` beforehand keeps attaching
+                outside its budget.
+            max_conflicts: optional conflict cap.
+
+        Returns:
+            A :data:`BoundedCheck`.
+        """
+        self.checks += 1
+        solver = self.solver
+        base_work = solver.work()
+        self._sync()
+        reused = solver.learned_count()
+        before = solver.stats.as_dict()
+        status, core, root = UNSAT, None, self.permanently_unsat
+        if not root:
+            sat_budget = None
+            if max_work is not None:
+                sat_budget = max(0, max_work - (solver.work() - base_work))
+            status = solver.solve(
+                assumptions=list(owners),
+                max_work=sat_budget,
+                max_conflicts=max_conflicts,
+            )
+            if status == UNSAT:
+                # final_conflict() holds the negations of the failing
+                # assumption literals; it is empty when the search hit a
+                # root conflict, which has no assumption core.
+                failed = set(solver.final_conflict())
+                core = [
+                    owner
+                    for literal, owned in owners.items()
+                    if -literal in failed
+                    for owner in owned
+                ] or None
+        after = solver.stats.as_dict()
+        model = None
+        if status == SAT:
+            sat_model = solver.model()
+            model = {
+                name: self.blaster.extract_value(name, sort, sat_model)
+                for name, sort in self.declarations.items()
+            }
+        return BoundedCheck(
+            status,
+            model,
+            core,
+            root,
+            solver.work() - base_work,
+            reused,
+            {key: after[key] - before[key] for key in after},
+        )
+
+
 def solve_bounded_script(script, max_work=None, max_conflicts=None):
     """Solve a script whose variables are all Bool or bitvector sorted.
 
@@ -64,66 +268,27 @@ def solve_bounded_script(script, max_work=None, max_conflicts=None):
         UnsupportedLogicError: the script has unbounded or FP variables
             (FP solving goes through the fixed-point encoding instead).
     """
-    for name, sort in script.declarations.items():
-        if not (sort.is_bool or sort.is_bv):
-            raise UnsupportedLogicError(
-                f"bounded solver cannot handle variable {name} of sort {sort}"
-            )
-
+    engine = BoundedEngine(script.declarations)
     if guard.active().interrupted("bv"):
         # The envelope is already exhausted (deadline/cancellation):
         # don't even pay for blasting.
-        return BoundedResult("unknown", None, 0, SatStats(), 0, 0)
+        return BoundedResult("unknown", None, 0, engine.solver.stats, 0, 0)
 
-    blaster = BitBlaster()
-    with telemetry.span("blast") as blast_span:
-        for assertion in script.assertions:
-            blaster.assert_term(assertion)
-        blast_span.add_work(BLAST_WORK_PER_CLAUSE * len(blaster.cnf.clauses))
-    if telemetry.enabled:
-        telemetry.record_counters(
-            {
-                "cnf_vars": blaster.cnf.num_vars,
-                "cnf_clauses": len(blaster.cnf.clauses),
-                **blaster.stats.as_dict(),
-            },
-            prefix="blast",
-            engine="bv",
-        )
-
-    blast_work = BLAST_WORK_PER_CLAUSE * len(blaster.cnf.clauses)
-    sat_budget = None
-    if max_work is not None:
-        sat_budget = max(0, max_work - blast_work)
-
-    # Structure sharing: the solver watches the blaster's arena blocks in
-    # place -- no per-clause copy between blasting and solving.
-    solver = SatSolver(cnf=blaster.cnf)
-    if not solver.attach():
-        return BoundedResult(
-            "unsat",
-            None,
-            blast_work + solver.stats.work(),
-            solver.stats,
-            blaster.cnf.num_vars,
-            len(blaster.cnf.clauses),
-        )
-
-    status = solver.solve(max_conflicts=max_conflicts, max_work=sat_budget)
-    model = None
-    if status == SAT:
-        sat_model = solver.model()
-        model = {
-            name: blaster.extract_value(name, sort, sat_model)
-            for name, sort in script.declarations.items()
-        }
+    blast_work = engine.assert_hard(script.assertions, "bv")
+    # A one-shot solve attaches outside its search budget.
+    engine._sync()
+    check = engine.check(
+        {},
+        max_work=None if max_work is None else max_work - blast_work,
+        max_conflicts=max_conflicts,
+    )
     return BoundedResult(
-        status,
-        model,
-        blast_work + solver.stats.work(),
-        solver.stats,
-        blaster.cnf.num_vars,
-        len(blaster.cnf.clauses),
+        check.status,
+        check.model,
+        blast_work + engine.solver.work(),
+        engine.solver.stats,
+        engine.cnf_vars,
+        engine.cnf_clauses,
     )
 
 
@@ -146,57 +311,35 @@ def extract_assertion_core(script, max_work=None, max_conflicts=None):
     """
     if not script.assertions:
         return None
-    for sort in script.declarations.values():
-        if not (sort.is_bool or sort.is_bv):
-            return None
+    try:
+        engine = BoundedEngine(script.declarations)
+    except UnsupportedLogicError:
+        return None
     if guard.active().interrupted("bv"):
         return None
     with telemetry.span("core-extract") as span:
-        blaster = BitBlaster()
-        owners = {}
-        assumptions = []
-        for index, assertion in enumerate(script.assertions):
-            literal = blaster.blast_bool(assertion)
-            if literal not in owners:
-                assumptions.append(literal)
-                owners[literal] = []
-            owners[literal].append(index)
-        blast_work = BLAST_WORK_PER_CLAUSE * len(blaster.cnf.clauses)
+        owners = engine.owners(
+            (assertion, index) for index, assertion in enumerate(script.assertions)
+        )
+        blast_work = BLAST_WORK_PER_CLAUSE * engine.cnf_clauses
         span.add_work(blast_work)
-        solver = SatSolver(cnf=blaster.cnf)
-        if not solver.attach():
-            # Definitional clauses alone are contradictory: a root-
-            # level conflict, not attributable to any assertion.
+        # Attached outside the search budget, as in a one-shot solve.
+        engine._sync()
+        if engine.permanently_unsat:
             span.set_attr("status", "root-conflict")
             return None
-        sat_budget = None
-        if max_work is not None:
-            sat_budget = max(0, max_work - blast_work)
-        status = solver.solve(
-            assumptions=assumptions,
-            max_work=sat_budget,
+        check = engine.check(
+            owners,
+            max_work=None if max_work is None else max_work - blast_work,
             max_conflicts=max_conflicts,
         )
-        span.add_work(solver.stats.work())
-        span.set_attr("status", status)
-        if status != UNSAT:
+        span.add_work(engine.solver.work())
+        span.set_attr("status", check.status)
+        if check.core is None:
+            if check.status == UNSAT:
+                span.set_attr("status", "root-conflict")
             return None
-        # final_conflict() holds the *negations* of the failing
-        # assumption literals; an empty conflict is the dead-solver
-        # root-UNSAT fast path and must never become a core.
-        failed = set(solver.final_conflict())
-        if not failed:
-            span.set_attr("status", "root-conflict")
-            return None
-        indices = sorted(
-            index
-            for literal, owned in owners.items()
-            if -literal in failed
-            for index in owned
-        )
-        if not indices:
-            return None
-        return tuple(indices)
+        return tuple(sorted(check.core))
 
 
 def assertion_core_digests(script, max_work=None):
@@ -207,221 +350,3 @@ def assertion_core_digests(script, max_work=None):
     from repro.cache.keys import assertion_digest
 
     return frozenset(assertion_digest(script.assertions[i]) for i in indices)
-
-
-class RefinementRound:
-    """Outcome of one incremental solve-at-width round.
-
-    Attributes:
-        status: ``"sat"``, ``"unsat"``, or ``"unknown"``.
-        model: name -> value dict when sat, else None.
-        work: raw bounded work spent *this round* (new clauses + search
-            delta) -- the same unit as :attr:`BoundedResult.work`.
-        core: names of variables whose truncation assumptions appear in
-            the final conflict; empty on a width-independent UNSAT.
-        guard_core: True when a width-``w`` overflow-guard assumption (a
-            tracked-term slice) appears in the final conflict -- widening
-            variables alone cannot fix that round; the global width must
-            grow.
-        root_conflict: True when the UNSAT did not involve any assumption
-            at all (the hard clauses are contradictory): no widening can
-            ever help.
-        assumed: number of assumption literals this round solved under.
-        reused_clauses: learned clauses retained from earlier rounds at
-            the moment this round's search started.
-        new_clauses: CNF clauses added for this round's assumption ladder.
-    """
-
-    __slots__ = (
-        "status",
-        "model",
-        "work",
-        "core",
-        "guard_core",
-        "root_conflict",
-        "assumed",
-        "reused_clauses",
-        "new_clauses",
-    )
-
-    def __init__(
-        self,
-        status,
-        model,
-        work,
-        core,
-        guard_core,
-        root_conflict,
-        assumed,
-        reused_clauses,
-        new_clauses,
-    ):
-        self.status = status
-        self.model = model
-        self.work = work
-        self.core = core
-        self.guard_core = guard_core
-        self.root_conflict = root_conflict
-        self.assumed = assumed
-        self.reused_clauses = reused_clauses
-        self.new_clauses = new_clauses
-
-    def __repr__(self):
-        return f"RefinementRound({self.status}, work={self.work}, core={self.core})"
-
-
-class IncrementalBoundedSession:
-    """Blast once, solve at many widths, keep everything learned.
-
-    The script is encoded at its *declared* (full) widths exactly once
-    into a persistent :class:`SatSolver`. A round at a narrower width is
-    a solve under per-variable truncation assumptions ("the high bits are
-    sign-extension", see
-    :meth:`~repro.bv.bitblast.BitBlaster.truncation_assumption`);
-    widening a variable just drops its assumption at the next call, so
-    learned clauses survive every round. On a bounded-UNSAT round,
-    :meth:`SatSolver.final_conflict` yields the subset of truncation
-    assumptions that caused the failure -- the unsat core that drives
-    core-guided widening in :class:`repro.core.refinement.RefinementStaub`.
-    """
-
-    def __init__(self, script, tracked=()):
-        for name, sort in script.declarations.items():
-            if not (sort.is_bool or sort.is_bv):
-                raise UnsupportedLogicError(
-                    f"bounded solver cannot handle variable {name} of sort {sort}"
-                )
-        self.script = script
-        self.blaster = BitBlaster()
-        with telemetry.span("blast", incremental=True) as span:
-            for assertion in script.assertions:
-                self.blaster.assert_term(assertion)
-            # Tracked terms are subterms of the assertions, so these are
-            # cache hits; the rows are kept for per-round guard slices.
-            self._tracked = [self.blaster.blast_bits(term) for term in tracked]
-            span.add_work(BLAST_WORK_PER_CLAUSE * len(self.blaster.cnf.clauses))
-        if telemetry.enabled:
-            telemetry.record_counters(
-                {
-                    "cnf_vars": self.blaster.cnf.num_vars,
-                    "cnf_clauses": len(self.blaster.cnf.clauses),
-                    **self.blaster.stats.as_dict(),
-                },
-                prefix="blast",
-                engine="bv-incremental",
-            )
-        self.solver = SatSolver(cnf=self.blaster.cnf)
-        self._synced = 0
-        self._root_unsat = False
-        self.rounds = 0
-
-    @property
-    def cnf_vars(self):
-        return self.blaster.cnf.num_vars
-
-    @property
-    def cnf_clauses(self):
-        return len(self.blaster.cnf.clauses)
-
-    @property
-    def permanently_unsat(self):
-        """True once the hard (assumption-free) clauses are contradictory.
-
-        Widening cannot help then: the truncation assumptions are the
-        only retractable part of the encoding.
-        """
-        return self._root_unsat or not self.solver.okay()
-
-    def _sync(self):
-        """Attach clauses produced since the previous round in place."""
-        cnf = self.blaster.cnf
-        added = len(cnf) - self._synced
-        if added:
-            if not self.solver.attach(start=self._synced) and not self._root_unsat:
-                self._root_unsat = True
-            self._synced = len(cnf)
-        if self.solver.num_vars < cnf.num_vars:
-            self.solver.grow_to(cnf.num_vars)
-        return added
-
-    def solve_round(self, widths, guard_width=None, max_work=None, max_conflicts=None):
-        """Solve with every variable truncated to its entry in ``widths``.
-
-        Args:
-            widths: name -> width mapping; variables missing from it (or
-                mapped at/above their declared width) are unconstrained.
-            guard_width: when given, additionally assume every tracked
-                arithmetic result fits ``guard_width`` bits signed --
-                reproducing the overflow-guard semantics of a scratch
-                transform at that width. At the full width this is a
-                no-op (the hard guards already apply).
-            max_work: deterministic budget for this round (raw bounded
-                units, covering the round's ladder clauses and search).
-
-        Returns:
-            A :class:`RefinementRound`.
-        """
-        if guard.active().interrupted("bv"):
-            return RefinementRound(
-                "unknown", None, 0, (), False, False, 0,
-                self.solver.learned_count(), 0,
-            )
-        assumptions = []
-        owner = {}
-        guard_literals = set()
-        for name in sorted(widths):
-            literal = self.blaster.truncation_assumption(name, widths[name])
-            if literal is None:
-                continue
-            assumptions.append(literal)
-            owner[literal] = name
-        if guard_width is not None:
-            for bits in self._tracked:
-                literal = self.blaster.slice_assumption(bits, guard_width)
-                if literal is None or literal in owner or literal in guard_literals:
-                    continue
-                assumptions.append(literal)
-                guard_literals.add(literal)
-        # Baseline before _sync: feeding clauses into the solver is real
-        # per-round work (attach + initial propagation) and must be
-        # charged to the round that caused it, not silently dropped.
-        base_work = self.solver.work()
-        new_clauses = self._sync()
-        blast_work = BLAST_WORK_PER_CLAUSE * new_clauses
-        reused = self.solver.learned_count()
-        core = ()
-        guard_core = False
-        root_conflict = False
-        if self.permanently_unsat:
-            status = UNSAT
-            root_conflict = True
-        else:
-            sat_budget = None
-            if max_work is not None:
-                sync_work = self.solver.work() - base_work
-                sat_budget = max(0, max_work - blast_work - sync_work)
-            status = self.solver.solve(
-                assumptions=assumptions,
-                max_work=sat_budget,
-                max_conflicts=max_conflicts,
-            )
-            if status == UNSAT:
-                failed = {abs(literal) for literal in self.solver.final_conflict()}
-                core = tuple(
-                    sorted(owner[lit] for lit in failed if lit in owner)
-                )
-                guard_core = bool(failed & guard_literals)
-                root_conflict = not failed
-        model = None
-        if status == SAT:
-            sat_model = self.solver.model()
-            model = {
-                name: self.blaster.extract_value(name, sort, sat_model)
-                for name, sort in self.script.declarations.items()
-            }
-        self.rounds += 1
-        work = blast_work + (self.solver.work() - base_work)
-        return RefinementRound(
-            status, model, work, core, guard_core, root_conflict,
-            len(assumptions), reused, new_clauses,
-        )

@@ -169,7 +169,7 @@ def entry_from_refine_round(round_result):
 
 def refine_round_from_entry(entry):
     """Rehydrate an incremental round record from a cache entry."""
-    from repro.bv.solver import RefinementRound
+    from repro.core.refinement import RefinementRound
 
     return RefinementRound(
         entry["status"],

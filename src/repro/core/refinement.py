@@ -19,7 +19,7 @@ re-transform, re-blast, re-solve from nothing.
 
 **Incremental** (``incremental=True``, int theory): bound inference runs
 once, and each scheduled round transforms and bit-blasts into a
-persistent :class:`~repro.bv.solver.IncrementalBoundedSession` whose
+long-lived :class:`~repro.bv.solver.BoundedEngine` whose
 encoding width is exactly the round width -- byte-for-byte the scratch
 encoding, so the two engines agree on every round's verdict by
 construction. The reuse happens *inside* a round: every variable carries
@@ -58,8 +58,8 @@ correctness contract unchanged.
 """
 
 from repro import cache as solve_cache
-from repro import telemetry
-from repro.bv.solver import IncrementalBoundedSession
+from repro import guard, telemetry
+from repro.bv.solver import BLAST_WORK_PER_CLAUSE, BoundedEngine
 from repro.cache.keys import refine_round_key
 from repro.cache.store import (
     entry_from_refine_round,
@@ -102,6 +102,67 @@ def _bill(work, remaining):
     if remaining is None:
         return work
     return min(work, max(0, remaining))
+
+
+class RefinementRound:
+    """Outcome of one incremental solve-at-width round.
+
+    Attributes:
+        status: ``"sat"``, ``"unsat"``, or ``"unknown"``.
+        model: name -> value dict when sat, else None.
+        work: raw bounded work spent *this round* (new clauses + search
+            delta) -- the same unit as :attr:`BoundedResult.work`.
+        core: names of variables whose truncation assumptions appear in
+            the final conflict; empty on a width-independent UNSAT.
+        guard_core: True when a width-``w`` overflow-guard assumption (a
+            tracked-term slice) appears in the final conflict -- widening
+            variables alone cannot fix that round; the global width must
+            grow.
+        root_conflict: True when the UNSAT did not involve any assumption
+            at all (the hard clauses are contradictory): no widening can
+            ever help.
+        assumed: number of assumption literals this round solved under.
+        reused_clauses: learned clauses retained from earlier rounds at
+            the moment this round's search started.
+        new_clauses: CNF clauses added for this round's assumption ladder.
+    """
+
+    __slots__ = (
+        "status",
+        "model",
+        "work",
+        "core",
+        "guard_core",
+        "root_conflict",
+        "assumed",
+        "reused_clauses",
+        "new_clauses",
+    )
+
+    def __init__(
+        self,
+        status,
+        model,
+        work,
+        core,
+        guard_core,
+        root_conflict,
+        assumed,
+        reused_clauses,
+        new_clauses,
+    ):
+        self.status = status
+        self.model = model
+        self.work = work
+        self.core = core
+        self.guard_core = guard_core
+        self.root_conflict = root_conflict
+        self.assumed = assumed
+        self.reused_clauses = reused_clauses
+        self.new_clauses = new_clauses
+
+    def __repr__(self):
+        return f"RefinementRound({self.status}, work={self.work}, core={self.core})"
 
 
 class RefinementReport:
@@ -388,7 +449,7 @@ class RefinementStaub:
         carry = {}
         prev_width = None
         ctx = {
-            "session": None,
+            "engine": None,
             "cache_hits": 0,
             "clauses_reused": 0,
             "core_widened": 0,
@@ -463,7 +524,7 @@ class RefinementStaub:
                     total_work += _bill(
                         t_trans, None if budget is None else budget - total_work
                     )
-                    ctx["session"] = None
+                    ctx["engine"] = None
                     # Variables enter at the carried width when one was
                     # learned, defaulting to the previous scheduled
                     # width, clamped to this round's. The first round
@@ -708,16 +769,18 @@ class RefinementStaub:
             if entry is not None and entry.get("mode") == "incremental":
                 telemetry.counter_add("refine.cache_hit", mode="incremental")
                 return refine_round_from_entry(entry), 1
-        if ctx["session"] is None:
+        if ctx["engine"] is None:
             # Lazy: a fully warm replay never pays for blasting at all.
-            ctx["session"] = IncrementalBoundedSession(
-                transformed.script, tracked=transformed.tracked
+            # The whole ceiling encoding is blasted once, hard.
+            ctx["engine"] = BoundedEngine(transformed.script.declarations)
+            ctx["engine"].assert_hard(
+                transformed.script.assertions, "bv-incremental", incremental=True
             )
         plan = chaos.active()
         injected_before = plan.total_injected if plan is not None else 0
-        result = ctx["session"].solve_round(
-            widths, guard_width=width, max_work=remaining,
-            max_conflicts=max_conflicts,
+        result = _solve_round(
+            ctx["engine"], transformed.tracked, widths, guard_width=width,
+            max_work=remaining, max_conflicts=max_conflicts,
         )
         # Conclusive answers are facts about the width state; a *capped*
         # unknown (the conflict cap bit before the budget did) is a
@@ -737,3 +800,70 @@ class RefinementStaub:
             except TypeError:
                 pass  # model value the cache cannot encode
         return result, 0
+
+
+def _solve_round(engine, tracked, widths, guard_width, max_work, max_conflicts):
+    """Solve with every variable truncated to its entry in ``widths``.
+
+    A round at a narrower width than the encoding is a check under
+    per-variable truncation assumptions ("the high bits are
+    sign-extension", see
+    :meth:`~repro.bv.bitblast.BitBlaster.truncation_assumption`);
+    widening a variable just drops its assumption at the next call, so
+    learned clauses survive every round. On a bounded-UNSAT round the
+    failing truncation assumptions are the unsat core that drives
+    core-guided widening.
+
+    Args:
+        engine: the :class:`~repro.bv.solver.BoundedEngine` holding the
+            encoding, hard.
+        tracked: the transform's tracked arithmetic result terms.
+        widths: name -> width mapping; variables missing from it (or
+            mapped at/above their declared width) are unconstrained.
+        guard_width: additionally assume every tracked result fits
+            ``guard_width`` bits signed -- the overflow-guard semantics
+            of a scratch transform at that width. At the full width this
+            is a no-op (the hard guards already apply).
+        max_work: deterministic budget for this round (raw bounded
+            units, covering the round's ladder clauses and search).
+
+    Returns:
+        A :class:`RefinementRound`.
+    """
+    if guard.active().interrupted("bv"):
+        return RefinementRound(
+            "unknown", None, 0, (), False, False, 0,
+            engine.solver.learned_count(), 0,
+        )
+    blaster = engine.blaster
+    owners = {}  # assumption literal -> [variable name], [None] for a guard
+    for name in sorted(widths):
+        literal = blaster.truncation_assumption(name, widths[name])
+        if literal is not None:
+            owners[literal] = [name]
+    for term in tracked:
+        # Tracked terms are subterms of the assertions: cache hits.
+        literal = blaster.slice_assumption(blaster.blast_bits(term), guard_width)
+        if literal is not None and literal not in owners:
+            owners[literal] = [None]
+    # The round pays for the clauses it attaches: its new ladders, and
+    # on the engine's first round the whole encoding.
+    new_clauses = engine.pending_clauses
+    blast_work = BLAST_WORK_PER_CLAUSE * new_clauses
+    check = engine.check(
+        owners,
+        max_work=None if max_work is None else max_work - blast_work,
+        max_conflicts=max_conflicts,
+    )
+    core = check.core or ()
+    return RefinementRound(
+        check.status,
+        check.model,
+        blast_work + check.work,
+        tuple(sorted(name for name in core if name is not None)),
+        None in core,
+        check.status == "unsat" and check.core is None,
+        len(owners),
+        check.reused,
+        new_clauses,
+    )

@@ -17,17 +17,18 @@ pays that cost over and over for the unchanged part.
   (``counters["reinferred"]`` measures that).
 - **Translation** caches each assertion's bounded slice (translated
   term + overflow guards) per ``(term, width)``.
-- **Solving** shares one persistent
-  :class:`~repro.solver.session._BoundedBackend`: slices blast once and
-  retract by scope as assumption literals, so learned clauses survive
-  every pop.
+- **Solving** shares one long-lived
+  :class:`~repro.bv.solver.BoundedEngine`: slices blast once and
+  retract by scope as assumption literals
+  (:func:`~repro.solver.session.check_scopes`), so learned clauses
+  survive every pop.
 
 The chosen width never shrinks within a session: pops can loosen the
 inferred bounds, but narrowing would forfeit the encoding and the
 learned clauses, and a wider-than-necessary width stays sound -- the
 verify stage guards every sat answer, and unsat remains the usual
 indistinguishable bounded-unsat. Width *growth* re-encodes into a fresh
-backend (``counters["rewiden"]``).
+engine (``counters["rewiden"]``).
 
 Each :meth:`ArbitrageSession.check` returns the same
 :class:`~repro.core.pipeline.ArbitrageReport` the scratch pipeline
@@ -37,6 +38,7 @@ translation work this check actually did.
 
 from repro import telemetry
 from repro import cache as solve_cache
+from repro.bv.solver import BoundedEngine
 from repro.cache.keys import assertion_digest
 from repro.core.absint import IntWidthDomain, int_width
 from repro.guard import chaos
@@ -61,7 +63,7 @@ from repro.smtlib.script import Script
 from repro.smtlib.sorts import BOOL, INT, bv_sort
 from repro.smtlib.values import BVValue
 from repro.solver.result import SAT, UNSAT
-from repro.solver.session import _BoundedBackend
+from repro.solver.session import check_scopes
 
 
 class _ScopedInference:
@@ -135,7 +137,7 @@ class _ScopedInference:
 
 class ArbitrageSession:
     """A push/pop session of *unbounded* integer constraints, solved by
-    scoped theory arbitrage over one persistent bounded backend.
+    scoped theory arbitrage over one long-lived bounded engine.
 
     Args:
         width_strategy: ``"absint"`` or a fixed int (as for
@@ -155,7 +157,7 @@ class ArbitrageSession:
         self._scopes = [[]]
         self._inference = _ScopedInference()
         self._width = width_hint or 0
-        self._backend = None
+        self._engine = None
         self._slices = {}  # (tid, width) -> tuple of bounded terms
         self._digest_memo = {}  # bounded-term tid -> canonical digest
         self._last_live = None  # tids live at the previous check
@@ -176,7 +178,7 @@ class ArbitrageSession:
     @property
     def width(self):
         """The current encoding width (0 before the first check)."""
-        return self._width if self._backend is not None else 0
+        return self._width if self._engine is not None else 0
 
     def push(self, count=1):
         for _ in range(count):
@@ -277,13 +279,16 @@ class ArbitrageSession:
             inference, self.width_strategy, self.max_int_width
         )
         width = max(self._width, needed)
-        if self._backend is None or width > self._width:
-            if self._backend is not None:
+        bounded_decls = {
+            name: (BOOL if sort.is_bool else bv_sort(width))
+            for name, sort in self.declarations.items()
+        }
+        if self._engine is None or width > self._width:
+            if self._engine is not None:
                 self.counters["rewiden"] += 1
                 telemetry.counter_add("session.rewiden")
-            self._backend = _BoundedBackend()
+            self._engine = BoundedEngine(bounded_decls)
             self._width = width
-        width = self._width
 
         scope_slices = []
         fresh_nodes = 0
@@ -306,10 +311,6 @@ class ArbitrageSession:
                 span.add_work(fresh_nodes)
             t_trans += fresh_nodes
 
-        bounded_decls = {
-            name: (BOOL if sort.is_bool else bv_sort(width))
-            for name, sort in self.declarations.items()
-        }
         remaining = None if budget is None else max(1, budget - t_trans)
 
         store = solve_cache.get_cache()
@@ -327,7 +328,7 @@ class ArbitrageSession:
                 # learned under any scope chain (or by the scratch
                 # pipeline at this width) answers this stack unsat with
                 # zero solver work -- the bounded-solve span never opens
-                # and the warm backend is left untouched.
+                # and the warm engine is left untouched.
                 self.counters["core_hits"] += 1
                 telemetry.counter_add("session.core_hit")
                 stats = unified_stats(core_reuse=True)
@@ -344,10 +345,10 @@ class ArbitrageSession:
 
         # Retraction-only checks (the live stack is a strict subset of
         # the previous check's -- e.g. pop the compact-argument box and
-        # re-check unbounded) are where a warm backend can *hurt*: saved
+        # re-check unbounded) are where a warm engine can *hurt*: saved
         # phases and activities were tuned under the retracted slices and
         # can point the search away from the newly opened region. Split
-        # the budget: the warm backend gets half, and if it comes back
+        # the budget: the warm engine gets half, and if it comes back
         # unknown a fresh encoding gets the rest.
         plan = chaos.active()
         injected_before = plan.total_injected if plan is not None else 0
@@ -355,7 +356,7 @@ class ArbitrageSession:
             term.tid for scope in self._scopes for term in scope
         )
         stale = (
-            self._backend.checks > 0
+            self._engine.checks > 0
             and self._last_live is not None
             and live < self._last_live
         )
@@ -363,13 +364,16 @@ class ArbitrageSession:
         first_budget = max(1, remaining // 2) if rescue_eligible else remaining
         t_post = 0
         with telemetry.span("bounded-solve", width=width, incremental=True) as span:
-            bounded = self._backend.check(scope_slices, bounded_decls, first_budget)
+            bounded, core_terms = check_scopes(
+                self._engine, scope_slices, bounded_decls, first_budget
+            )
             t_post += bounded.work
             if rescue_eligible and bounded.status not in (SAT, UNSAT):
                 self.counters["rescued"] += 1
                 telemetry.counter_add("session.rescue")
-                self._backend = _BoundedBackend()
-                retry = self._backend.check(
+                self._engine = BoundedEngine(bounded_decls)
+                retry, core_terms = check_scopes(
+                    self._engine,
                     scope_slices,
                     bounded_decls,
                     max(1, remaining - bounded.work),
@@ -395,13 +399,12 @@ class ArbitrageSession:
                 store is not None
                 and store.core_reuse
                 and (plan is None or plan.total_injected == injected_before)
+                and core_terms
             ):
-                core_terms = self._backend.last_core_terms
-                if core_terms:
-                    store.add_core(
-                        frozenset(self._digest(term) for term in core_terms),
-                        kind="arbitrage-session",
-                    )
+                store.add_core(
+                    frozenset(self._digest(term) for term in core_terms),
+                    kind="arbitrage-session",
+                )
             return ArbitrageReport(CASE_BOUNDED_UNSAT, **common)
         if bounded.status != SAT:
             return ArbitrageReport(CASE_BOUNDED_UNKNOWN, **common)

@@ -16,10 +16,14 @@ injection points threaded through the stack:
 Every draw is seeded by ``(plan seed, point, salt, per-point count)``,
 so a given plan injects the *same* faults at the same points regardless
 of thread/process interleaving, and forked workers diverge only through
-their ``salt``. The default fault mix is chosen so that every injected
-fault is **recoverable**: a chaos run must produce the same sat/unsat
-verdicts as a fault-free run (only timings, lane winners, and cache
-warmth may differ). That invariant is what the CI chaos smoke asserts.
+their ``salt``. A task the worker pool retries after its worker died
+also folds its attempt number into the seed: a replacement worker is
+forked with the parent's draw counts, so without it the retry would
+replay the fault that killed the first attempt. The default fault mix
+is chosen so that every injected fault is **recoverable**: a chaos run
+must produce the same sat/unsat verdicts as a fault-free run (only
+timings, lane winners, and cache warmth may differ). That invariant is
+what the CI chaos smoke asserts.
 
 Enabled via the ``REPRO_CHAOS`` environment variable or the ``--chaos``
 CLI flag, both taking ``seed:rate`` (e.g. ``1234:0.1``). Disabled by
@@ -142,6 +146,9 @@ class ChaosPlan:
             self.kinds.update(kinds)
         self._draws = {}
         self.injected = {}  # (point, kind) -> count
+        #: The worker pool's attempt number for the task this process is
+        #: running (0: the first try). Nonzero attempts seed fresh draws.
+        self.attempt = 0
 
     @property
     def total_injected(self):
@@ -158,9 +165,10 @@ class ChaosPlan:
         return deltas
 
     def _rng(self, point, salt, count):
-        digest = hashlib.sha256(
-            f"{self.seed}|{point}|{salt}|{count}".encode("utf-8")
-        ).digest()
+        key = f"{self.seed}|{point}|{salt}|{count}"
+        if self.attempt:
+            key += f"|attempt={self.attempt}"
+        digest = hashlib.sha256(key.encode("utf-8")).digest()
         return random.Random(int.from_bytes(digest[:8], "big"))
 
     def draw(self, point, salt=""):

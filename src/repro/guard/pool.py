@@ -70,14 +70,22 @@ def terminate_processes(processes, join_timeout=5.0):
 
 
 def _work(function, connection):
-    """A worker's loop: one task in, its result out, until the pill."""
+    """A worker's loop: one task in, its result out, until the pill.
+
+    Each task arrives with its attempt number, which the active chaos
+    plan folds into its draws: a retried task draws fresh faults.
+    """
     while True:
         try:
-            task = connection.recv()
+            message = connection.recv()
         except EOFError:
             return  # the parent is gone
-        if task is None:
+        if message is None:
             return
+        attempt, task = message
+        plan = chaos.active()
+        if plan is not None:
+            plan.attempt = attempt
         try:
             result = function(task)
         except chaos.ChaosCrash:
@@ -243,7 +251,7 @@ class Pool:
             self._queue.remove(job)
             worker.job, worker.started = job, now
             try:
-                worker.connection.send(job.task)
+                worker.connection.send((job.crashes, job.task))
             except OSError:
                 pass  # died while idle: the next poll reaps it with the job
 

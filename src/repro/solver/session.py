@@ -6,7 +6,8 @@ stack: ``push``/``pop``/``reset-assertions`` manipulate scopes, and every
 
 The point of a session -- and the reason clients like the termination
 driver stream fifty queries through one -- is that bounded scopes are
-*retractable assumption slices* over one persistent SAT solver:
+*retractable assumption slices* over one long-lived
+:class:`~repro.bv.solver.BoundedEngine` (:func:`check_scopes`):
 
 - Each asserted term is bit-blasted exactly once
   (:meth:`~repro.bv.bitblast.BitBlaster.blast_bool` yields a Tseitin
@@ -36,19 +37,12 @@ and never wedge the session.
 
 from repro import cache as solve_cache
 from repro import guard, telemetry
-from repro.bv.bitblast import BitBlaster
-from repro.bv.solver import BLAST_WORK_PER_CLAUSE
+from repro.bv.solver import BLAST_WORK_PER_CLAUSE, BoundedEngine
 from repro.cache.keys import ScopeKeyChain, assertion_digest
 from repro.cache.store import entry_from_result, result_from_entry
-from repro.errors import (
-    BudgetExceeded,
-    SessionError,
-    SmtLibError,
-    UnsupportedLogicError,
-)
+from repro.errors import BudgetExceeded, SessionError, SmtLibError
 from repro.guard import chaos
 from repro.guard.chaos import ChaosCrash
-from repro.sat.solver import SatSolver
 from repro.smtlib.script import Script
 from repro.smtlib.sorts import BOOL
 from repro.solver import costs
@@ -57,148 +51,56 @@ from repro.solver.result import SAT, UNKNOWN, UNSAT, SolveResult
 from repro.telemetry.stats import unified_stats
 
 
-class _BoundedBackend:
-    """One persistent blast-once SAT engine; scopes are assumption slices.
+def check_scopes(engine, scopes, declarations, budget):
+    """Solve a live scope stack on a long-lived :class:`BoundedEngine`.
 
-    The backend never forgets: popped assertions keep their CNF (inert
-    without their assumption literal) and the solver keeps its learned
-    clauses. ``reset-assertions`` keeps the backend too -- the term
-    cache makes re-asserting previously seen formulas free.
+    Every live term's Tseitin output literal is one assumption of the
+    check; a popped term's literal is simply left out, so its CNF stays
+    (inert) and re-pushing it later costs nothing to encode.
+
+    Returns:
+        ``(result, core)``: a :class:`~repro.solver.result.SolveResult`
+        and, after an assumption-driven unsat, the live terms whose
+        literals are in the final conflict (the assertion-level unsat
+        core); None after any other outcome -- in particular after a
+        root conflict, whose empty conflict has no attributable subset.
     """
-
-    def __init__(self):
-        self.blaster = BitBlaster()
-        # Structure sharing: the solver watches the blaster's arena
-        # blocks in place; _sync attaches new blocks without copying.
-        self.solver = SatSolver(cnf=self.blaster.cnf)
-        self._synced = 0
-        self._root_unsat = False
-        self._literals = {}  # term tid -> assumption literal
-        self.checks = 0
-        #: After an assumption-driven UNSAT check: the live terms whose
-        #: assumption literals appear in the final conflict (the
-        #: assertion-level unsat core). None after any other outcome --
-        #: in particular after the *root*-UNSAT fast path, whose empty
-        #: conflict has no attributable assertion subset.
-        self.last_core_terms = None
-
-    @property
-    def permanently_unsat(self):
-        """True once the hard (assumption-free) clauses are contradictory."""
-        return self._root_unsat or not self.solver.okay()
-
-    def literal(self, term):
-        """The retractable assumption literal standing for ``term``."""
-        literal = self._literals.get(term.tid)
-        if literal is None:
-            literal = self._literals[term.tid] = self.blaster.blast_bool(term)
-        return literal
-
-    def _sync(self):
-        """Attach clauses produced since the previous check in place."""
-        cnf = self.blaster.cnf
-        added = len(cnf) - self._synced
-        if added:
-            if not self.solver.attach(start=self._synced) and not self._root_unsat:
-                self._root_unsat = True
-            self._synced = len(cnf)
-        if self.solver.num_vars < cnf.num_vars:
-            self.solver.grow_to(cnf.num_vars)
-        return added
-
-    def check(self, scopes, declarations, budget):
-        """Solve the live stack under this check's assumption slices."""
-        for name, sort in declarations.items():
-            if not (sort.is_bool or sort.is_bv):
-                raise UnsupportedLogicError(
-                    f"bounded session cannot handle variable {name} of sort {sort}"
-                )
-        self.last_core_terms = None
-        if guard.active().interrupted("session"):
-            return SolveResult(
-                UNKNOWN, None, 0, engine="bv-session", stats=unified_stats()
-            )
-        self.checks += 1
-        clauses_before = len(self.blaster.cnf.clauses)
-        assumptions = []
-        owners = {}  # assumption literal -> live terms it stands for
-        seen = set()
-        for scope in scopes:
-            for term in scope:
-                literal = self.literal(term)
-                if literal not in seen:
-                    seen.add(literal)
-                    assumptions.append(literal)
-                owners.setdefault(literal, []).append(term)
-        new_clauses = len(self.blaster.cnf.clauses) - clauses_before
-        blast_work = BLAST_WORK_PER_CLAUSE * new_clauses
-        if new_clauses:
-            with telemetry.span("blast", incremental=True) as span:
-                span.add_work(blast_work)
-        base_work = self.solver.work()
-        self._sync()
-        reused = self.solver.learned_count()
-        before = self.solver.stats.as_dict()
-        if self.permanently_unsat:
-            # Permanent root UNSAT: answer without a search. No amount of
-            # popping can retract a hard contradiction, so every check
-            # from here on is deterministic and (nearly) free.
-            telemetry.counter_add("session.root_unsat")
-            raw = blast_work + (self.solver.work() - base_work)
-            return SolveResult(
-                UNSAT,
-                None,
-                costs.from_sat(raw),
-                engine="bv-session",
-                stats=self._stats(before, assumptions, reused, new_clauses,
-                                  root_conflict=True),
-            )
-        sat_budget = None
-        if budget is not None:
-            sync_work = self.solver.work() - base_work
-            sat_budget = max(0, budget - blast_work - sync_work)
-        status = self.solver.solve(assumptions=assumptions, max_work=sat_budget)
-        if status == UNSAT:
-            # final_conflict() holds the negations of the failing
-            # assumption literals; an empty conflict (root-level UNSAT
-            # discovered during this search) yields no core.
-            failed = set(self.solver.final_conflict())
-            core = tuple(
-                term
-                for literal in assumptions
-                if -literal in failed
-                for term in owners[literal]
-            )
-            self.last_core_terms = core or None
-        model = None
-        if status == SAT:
-            sat_model = self.solver.model()
-            model = {
-                name: self.blaster.extract_value(name, sort, sat_model)
-                for name, sort in declarations.items()
-            }
-        raw = blast_work + (self.solver.work() - base_work)
+    engine.declarations = declarations
+    if guard.active().interrupted("session"):
         return SolveResult(
-            status,
-            model,
-            costs.from_sat(raw),
-            engine="bv-session",
-            stats=self._stats(before, assumptions, reused, new_clauses),
-        )
-
-    def _stats(self, before, assumptions, reused, new_clauses, root_conflict=False):
-        """Uniform stats for one check, with solver counters as deltas."""
-        after = self.solver.stats.as_dict()
-        delta = {key: after[key] - before[key] for key in after}
-        return unified_stats(
-            cnf_vars=self.blaster.cnf.num_vars,
-            cnf_clauses=len(self.blaster.cnf.clauses),
-            assumed=len(assumptions),
-            reused_clauses=reused,
+            UNKNOWN, None, 0, engine="bv-session", stats=unified_stats()
+        ), None
+    clauses_before = engine.cnf_clauses
+    owners = engine.owners((term, term) for scope in scopes for term in scope)
+    new_clauses = engine.cnf_clauses - clauses_before
+    blast_work = BLAST_WORK_PER_CLAUSE * new_clauses
+    if new_clauses:
+        with telemetry.span("blast", incremental=True) as span:
+            span.add_work(blast_work)
+    check = engine.check(
+        owners, max_work=None if budget is None else budget - blast_work
+    )
+    if check.root:
+        # Permanent root UNSAT: no amount of popping can retract a hard
+        # contradiction, so every check from here on is answered without
+        # a search.
+        telemetry.counter_add("session.root_unsat")
+    result = SolveResult(
+        check.status,
+        check.model,
+        costs.from_sat(blast_work + check.work),
+        engine="bv-session",
+        stats=unified_stats(
+            cnf_vars=engine.cnf_vars,
+            cnf_clauses=engine.cnf_clauses,
+            assumed=len(owners),
+            reused_clauses=check.reused,
             new_clauses=new_clauses,
-            root_conflict=root_conflict,
-            **delta,
-        )
+            root_conflict=check.root,
+            **check.search,
+        ),
+    )
+    return result, check.core
 
 
 class Session:
@@ -223,8 +125,14 @@ class Session:
         self.declarations = {}
         self._scopes = [[]]
         self._chain = ScopeKeyChain()
-        self._backend = None
+        self._engine = None  # the BoundedEngine every bounded check reuses
         self._digest_memo = {}  # term tid -> canonical assertion digest
+        #: After a check the engine answered unsat: the live terms whose
+        #: assumption literals appear in the final conflict (the
+        #: assertion-level unsat core). None after any other check -- in
+        #: particular after a root conflict, which has no attributable
+        #: assertion subset.
+        self.last_core_terms = None
         self.counters = {
             "push": 0,
             "pop": 0,
@@ -268,7 +176,7 @@ class Session:
 
     def reset_assertions(self):
         """Drop every scope and every assertion; keep declarations and
-        the backend (its term cache makes re-assertion free)."""
+        the engine (its term cache makes re-assertion free)."""
         self._scopes = [[]]
         self._chain.reset()
         self.counters["reset"] += 1
@@ -314,13 +222,14 @@ class Session:
     def check_sat(self, budget=None):
         """Answer sat/unsat/unknown for the live assertion stack.
 
-        Bounded stacks run on the persistent assumption-slice backend;
+        Bounded stacks run on the long-lived engine (see :func:`check_scopes`);
         unbounded ones fall back to a scratch solve of the flattened
         script (identical to the non-incremental path, cached under its
         canonical key by the facade itself).
         """
         budget = self.budget if budget is None else budget
         self.counters["check_sat"] += 1
+        self.last_core_terms = None
         telemetry.counter_add("session.check_sat")
         if not self._bounded:
             self.counters["fallback_checks"] += 1
@@ -369,13 +278,11 @@ class Session:
                 store.put(key, entry_from_result(result), kind="session")
             except TypeError:
                 pass  # model value with no JSON encoding: don't cache it
-            if result.status == UNSAT and self._backend is not None:
-                core_terms = self._backend.last_core_terms
-                if core_terms:
-                    store.add_core(
-                        frozenset(self._digest(term) for term in core_terms),
-                        kind="session",
-                    )
+            if result.status == UNSAT and self.last_core_terms:
+                store.add_core(
+                    frozenset(self._digest(term) for term in self.last_core_terms),
+                    kind="session",
+                )
         return result
 
     def _digest(self, term):
@@ -391,15 +298,12 @@ class Session:
         )
 
     def _check_bounded(self, budget):
-        """One check on the persistent backend, inside a fresh governor.
+        """One check on the long-lived engine, inside a fresh governor.
 
         Returns ``(result, tainted)`` where ``tainted`` marks results
         shaped by wall-clock exhaustion or injected faults -- those must
         never be cached (they would poison every warm rerun).
         """
-        backend = self._backend
-        if backend is None:
-            backend = self._backend = _BoundedBackend()
         outer = guard.active()
         governor = guard.ResourceBudget(
             work=budget, parent=outer if outer is not guard.NULL_GOVERNOR else None
@@ -412,7 +316,11 @@ class Session:
                     chaos.inject(
                         "session.check_sat", salt=str(self.depth), governor=governor
                     )
-                    result = backend.check(self._scopes, self.declarations, budget)
+                    if self._engine is None:
+                        self._engine = BoundedEngine(self.declarations)
+                    result, self.last_core_terms = check_scopes(
+                        self._engine, self._scopes, self.declarations, budget
+                    )
                 except ChaosCrash:
                     telemetry.counter_add("session.chaos_crash")
                     result = SolveResult(

@@ -16,13 +16,14 @@ import pytest
 
 from repro import telemetry
 from repro.benchgen import suite_for
+from repro.bv.solver import BoundedEngine
 from repro.cache import SolveCache, activated, script_digests, set_cache
 from repro.cli import main as cli_main
 from repro.core.pipeline import Staub
 from repro.smtlib import build, parse_script
 from repro.smtlib.script import Script
 from repro.solver import solve_script
-from repro.solver.session import Session, _BoundedBackend
+from repro.solver.session import Session, check_scopes
 from repro.termination.automizer import Automizer
 from repro.termination.programs import termination_benchmark_suite
 
@@ -265,14 +266,17 @@ class TestClearRollsAndPersists:
 
 class TestRootUnsatGuard:
     def test_root_unsat_backend_reports_no_core(self):
-        backend = _BoundedBackend()
-        backend._root_unsat = True
+        declarations = {"p": build.BOOL}
+        engine = BoundedEngine(declarations)
+        # A contradictory hard clause: the root-UNSAT fast path.
+        engine.blaster.assert_term(build.FALSE)
         term = parse_script(
             "(declare-fun p () Bool)(assert p)(check-sat)"
         ).assertions[0]
-        result = backend.check([[term]], {"p": build.BOOL}, None)
+        result, core_terms = check_scopes(engine, [[term]], declarations, None)
         assert result.status == "unsat"
-        assert backend.last_core_terms is None
+        assert result.stats["root_conflict"] is True
+        assert core_terms is None
 
     def test_root_unsat_session_never_poisons_core_index(self):
         cache = SolveCache()
@@ -283,11 +287,12 @@ class TestRootUnsatGuard:
         assert session.check_sat().status == "sat"
         # Force the permanent root-UNSAT fast path (hard clauses dead),
         # and grow the stack so the check misses the whole-key cache.
-        session._backend._root_unsat = True
+        session._engine.blaster.assert_term(build.FALSE)
         session.assert_term(
             parse_script("(declare-fun r () Bool)(assert r)(check-sat)").assertions[0]
         )
         assert session.check_sat().status == "unsat"
+        assert session.last_core_terms is None
         assert not cache.has_cores()
         # A fresh, satisfiable session question on the same cache must
         # not be answered unsat by a poisoned (empty) core.

@@ -11,7 +11,9 @@ import time
 import pytest
 
 from repro import telemetry
+from repro.guard import chaos
 from repro.guard import pool as pool_module
+from repro.guard.chaos import ChaosPlan
 from repro.guard.pool import Pool
 
 
@@ -41,6 +43,11 @@ def _die_first(marker):
         open(marker, "w").close()
         os._exit(3)
     return "survived"
+
+
+def _crash_point(salt):
+    chaos.inject("service.worker_crash", salt=salt)
+    return salt
 
 
 def _sleep(seconds):
@@ -95,6 +102,37 @@ def test_task_whose_worker_died_once_succeeds_on_retry(tmp_path):
     finally:
         assert pool.close() == 0
     assert multiprocessing.active_children() == []
+
+
+def test_task_crashed_by_chaos_draws_a_fresh_fault_on_retry():
+    # Tasks whose first attempt draws an injected crash. The replacement
+    # worker is forked with the parent's draw counts, so a retry that
+    # replayed the first attempt's draw would die the same way.
+    doomed = [
+        salt
+        for salt in map(str, range(64))
+        if ChaosPlan(3, 0.5).draw("service.worker_crash", salt=salt) is not None
+    ][:8]
+    chaos.install(ChaosPlan(3, 0.5))
+    try:
+        pool = Pool(_crash_point, 1)
+        try:
+            for salt in doomed:
+                pool.dispatch(salt)
+            events = _events(pool, len(doomed))
+        finally:
+            assert pool.close() == 0
+    finally:
+        chaos.uninstall()
+    assert multiprocessing.active_children() == []
+    assert sorted(task for _, task, _, _ in events) == sorted(doomed)
+    recovered = [task for kind, task, _, _ in events if kind == "done"]
+    assert recovered, "no retry of a chaos-crashed task completed"
+    snap = telemetry.snapshot()
+    assert snap["pool.task_retried"] == len(doomed)
+    assert snap["pool.worker_lost{reason=worker_crashed}"] == (
+        2 * len(doomed) - len(recovered)
+    )
 
 
 def test_overstaying_worker_is_terminated(monkeypatch):
