@@ -383,9 +383,3 @@ class Simplex:
             result[name] = value.value + value.delta * delta
         return result
 
-    def bounds_of(self, name):
-        """Current (lower, upper) delta-rational bounds of a variable."""
-        index = self._names.get(name)
-        if index is None:
-            return (None, None)
-        return (self._lower.get(index), self._upper.get(index))

@@ -89,10 +89,6 @@ class BitBlaster:
     # -- gate layer ------------------------------------------------------
 
     @property
-    def true_literal(self):
-        return self._true
-
-    @property
     def false_literal(self):
         return -self._true
 
@@ -658,14 +654,6 @@ class BitBlaster:
         ``self.cnf.clause_ref(i)``.
         """
         return dict(self._block_spans)
-
-    def variable_bits(self, name):
-        """The allocated literal vector of a bitvector variable, or None.
-
-        None means the variable never occurred in a blasted term (its
-        value is unconstrained; :meth:`extract_value` defaults it to 0).
-        """
-        return self._var_bits.get(name)
 
     def truncation_assumption(self, name, width):
         """An assumption literal that sign-truncates a variable to ``width``.

@@ -17,7 +17,12 @@ lookup and silently miss (or worse, a collision could return a wrong
 result).
 
 Solve parameters that change the *outcome* (profile, budget) are mixed
-into the digest, never into the script text.
+into the digest, never into the script text. A session's scope-prefix
+key is built the same way by
+:meth:`repro.solver.session.ScopeStack.key`.
+
+A key only names a question; what may be stored under it is decided by
+the one admission rule in :mod:`repro.cache.admission`.
 """
 
 import hashlib
@@ -83,6 +88,11 @@ def canonical_text(script):
     return "\n".join(lines) + "\n"
 
 
+def canonical_term_text(term):
+    """The printed form of one term with commutative arguments ordered."""
+    return print_term(map_terms([term], CanonicalOrder().rewrite)[0])
+
+
 #: Memo for :func:`assertion_digest`, keyed by term identity. Terms are
 #: hash-consed process-wide, so a tid never maps to two different terms;
 #: the cap only bounds memory on very long-running processes.
@@ -107,13 +117,11 @@ def assertion_digest(term):
     cached = _DIGEST_MEMO.get(term.tid)
     if cached is not None:
         return cached
-    canonical = CanonicalOrder()
-    rewritten = map_terms([term], canonical.rewrite)[0]
     variables = term.variables()
     sorts = ",".join(
         f"{name}:{variables[name].sort.name}" for name in sorted(variables)
     )
-    payload = f"{print_term(rewritten)}|{sorts}"
+    payload = f"{canonical_term_text(term)}|{sorts}"
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
     if len(_DIGEST_MEMO) >= _DIGEST_MEMO_LIMIT:
         _DIGEST_MEMO.clear()
@@ -150,94 +158,6 @@ def cache_key(script, profile=None, budget=None, kind="solve", extra=None):
     return digest.hexdigest()
 
 
-class ScopeKeyChain:
-    """Incremental, scope-prefix-aware cache keys for a session.
-
-    A session's question at each ``check-sat`` is determined by the live
-    assertion stack. Rather than re-canonicalizing the whole flattened
-    script per check (O(stack)), the chain keeps one digest per scope:
-    ``digest(scope_k) = H(digest(scope_{k-1}) || canonical slice text)``.
-    Pushing starts a new link, popping truncates, and asserting only
-    invalidates the top link -- so computing the key for a check costs
-    O(top slice), and two sessions that reach the same scope stack
-    through any interleaving of push/pop get the same key.
-
-    The canonical slice text sorts the slice's assertions by their
-    canonically-ordered printed form (the same normalization the whole-
-    script :func:`canonical_text` uses), so assertion order within one
-    scope does not split the cache.
-
-    Scope *boundaries* are deliberately part of the identity: ``[A B]``
-    and ``[A | B]`` flatten to the same conjunction but key differently.
-    That is conservative (never wrong, occasionally a duplicate entry)
-    and what makes the prefix reuse sound.
-    """
-
-    _ROOT = "staub-session-v1"
-
-    def __init__(self):
-        self._slices = [[]]  # per scope: canonical assertion strings
-        self._digests = [None]  # lazily computed chain digests
-
-    @property
-    def depth(self):
-        """Number of pushed scopes (the root scope is depth 0)."""
-        return len(self._slices) - 1
-
-    def push(self, count=1):
-        for _ in range(count):
-            self._slices.append([])
-            self._digests.append(None)
-
-    def pop(self, count=1):
-        if count > self.depth:
-            raise ValueError(f"pop {count} below scope depth {self.depth}")
-        del self._slices[len(self._slices) - count :]
-        del self._digests[len(self._digests) - count :]
-
-    def reset(self):
-        self._slices = [[]]
-        self._digests = [None]
-
-    def add_assertion(self, term):
-        canonical = CanonicalOrder()
-        rewritten = map_terms([term], canonical.rewrite)[0]
-        self._slices[-1].append(print_term(rewritten))
-        self._digests[-1] = None
-
-    def _chain_digest(self, index):
-        cached = self._digests[index]
-        if cached is not None:
-            return cached
-        parent = self._ROOT if index == 0 else self._chain_digest(index - 1)
-        digest = hashlib.sha256()
-        digest.update(parent.encode("utf-8"))
-        for line in sorted(set(self._slices[index])):
-            digest.update(b"\x00")
-            digest.update(line.encode("utf-8"))
-        value = digest.hexdigest()
-        self._digests[index] = value
-        return value
-
-    def key(self, declarations, profile=None, budget=None):
-        """The cache key for a ``check-sat`` of the current stack.
-
-        Args:
-            declarations: name -> sort mapping (part of the question: the
-                same assertions over different sorts differ).
-            profile / budget: solve parameters, mixed in exactly like
-                :func:`cache_key` mixes them for whole scripts.
-        """
-        digest = hashlib.sha256()
-        digest.update(self._chain_digest(len(self._slices) - 1).encode("utf-8"))
-        for name in sorted(declarations):
-            digest.update(f"|{name}:{declarations[name].name}".encode("utf-8"))
-        digest.update(
-            f"|kind=session|profile={profile}|budget={budget}".encode("utf-8")
-        )
-        return digest.hexdigest()
-
-
 def refine_round_key(script, widths, mode, max_width):
     """Key for one width-refinement round of ``script``.
 
@@ -245,8 +165,8 @@ def refine_round_key(script, widths, mode, max_width):
     width state the round solved at -- a scalar for the scratch loop, a
     per-variable mapping for the incremental engine -- so a warm
     refinement replay hits round by round. Budgets are deliberately not
-    part of the key: only conclusive (sat/unsat) rounds are ever stored,
-    and those do not depend on how much budget was left.
+    part of the key: the admission rule (:mod:`repro.cache.admission`)
+    stores only rounds that do not depend on how much budget was left.
 
     Args:
         script: the original script the refinement loop runs on.

@@ -4,7 +4,8 @@ Entries are plain JSON-serializable dicts so a cache file written by one
 process (or one ``run_all`` invocation) can warm any later one. Models
 are encoded value-by-value (ints, booleans, fractions, bitvectors);
 a model value the encoder does not recognize raises ``TypeError`` and
-the caller skips caching that result rather than storing a lossy entry.
+the admission rule (:mod:`repro.cache.admission`) skips caching that
+result rather than storing a lossy entry.
 
 Hit/miss/eviction counts feed the :mod:`repro.telemetry` registry
 (``cache.hit`` / ``cache.miss`` / ``cache.eviction``) and are also kept
@@ -147,9 +148,8 @@ def result_from_entry(entry):
 def entry_from_refine_round(round_result):
     """Serialize one incremental :class:`RefinementRound` for the cache.
 
-    Only conclusive rounds should be stored (the caller enforces this):
-    an ``unknown`` is a budget artifact, not a fact about the script.
-    The core rides along because the *next* round's widths are computed
+    Which rounds are stored is the admission rule's decision
+    (:mod:`repro.cache.admission`). The core rides along because the *next* round's widths are computed
     from it -- a warm replay must widen exactly like the cold run did.
     """
     return {
@@ -358,10 +358,11 @@ class SolveCache:
         """Store an unsat core as a frozenset of canonical digests.
 
         Guards (soundness first): an empty core is rejected outright --
-        it would subsume *every* future query -- and callers must never
-        pass cores from chaos-tainted or budget-truncated results. A
-        core equal to or subsumed by an already-stored core is redundant
-        (the stored one answers at least as many queries) and skipped.
+        it would subsume *every* future query -- and which cores may be
+        offered at all is the admission rule's decision
+        (:func:`repro.cache.admission.record`). A core equal to or
+        subsumed by an already-stored core is redundant (the stored one
+        answers at least as many queries) and skipped.
 
         Returns True iff the core was stored.
         """

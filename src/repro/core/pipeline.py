@@ -16,6 +16,7 @@ original (Section 5.1).
 from repro import guard, telemetry
 from repro import cache as solve_cache
 from repro.bv.solver import assertion_core_digests, solve_bounded_script
+from repro.cache.admission import Watch, lookup, record
 from repro.cache.keys import script_digests
 from repro.core.correspondence import FixedPointShape
 from repro.portfolio.scheduler import PrecomputedAttempt, race_precomputed
@@ -23,7 +24,6 @@ from repro.core.inference import infer_bounds
 from repro.core.transform import transform_script
 from repro.core.verify import verify_model
 from repro.errors import TransformError
-from repro.guard import chaos
 from repro.solver import costs
 from repro.telemetry.stats import unified_stats
 
@@ -271,19 +271,14 @@ class Staub:
 
         remaining = None if budget is None else max(1, budget - t_trans)
         store = solve_cache.get_cache()
-        if (
-            store is not None
-            and store.has_cores()
-            and bounded_script.assertions
-            and store.find_core(
-                script_digests(bounded_script), kind="arbitrage"
-            )
-            is not None
-        ):
+        hit = lookup(
+            store, digests=lambda: script_digests(bounded_script), kind="arbitrage"
+        )
+        if hit is not None:
             # A cached unsat core subsumes the transformed script: the
             # bounded side is unsat with zero solver work, so the
             # bounded-solve span never opens.
-            stats = unified_stats(core_reuse=True)
+            stats = hit.stats
             stats["width"] = transformed.width
             return self._finish(
                 ArbitrageReport(
@@ -298,8 +293,7 @@ class Staub:
                 )
             )
 
-        plan = chaos.active()
-        injected_before = plan.total_injected if plan is not None else 0
+        watch = Watch(guard.active())
         with telemetry.span("bounded-solve", width=transformed.width) as span:
             bounded = solve_bounded_script(bounded_script, max_work=remaining)
             t_post = costs.from_sat(bounded.work)
@@ -322,16 +316,11 @@ class Staub:
         if bounded.status == "unsat":
             # Original-unsat and bounds-insufficient are indistinguishable
             # (Fig. 6 case 1): revert.
-            if (
-                store is not None
-                and store.core_reuse
-                and bounded_script.assertions
-                and guard.active().reason not in ("deadline", "cancelled", "parent")
-                and (plan is None or plan.total_injected == injected_before)
-            ):
-                digests = assertion_core_digests(bounded_script, max_work=remaining)
-                if digests is not None:
-                    store.add_core(digests, kind="arbitrage")
+            record(
+                store, watch, "unsat",
+                core=lambda: assertion_core_digests(bounded_script, max_work=remaining),
+                kind="arbitrage",
+            )
             return self._finish(ArbitrageReport(CASE_BOUNDED_UNSAT, **common))
 
         case, candidate, t_check = check_candidate(script, transformed, bounded.model)

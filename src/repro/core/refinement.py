@@ -60,6 +60,7 @@ correctness contract unchanged.
 from repro import cache as solve_cache
 from repro import guard, telemetry
 from repro.bv.solver import BLAST_WORK_PER_CLAUSE, BoundedEngine
+from repro.cache.admission import Watch, record
 from repro.cache.keys import refine_round_key
 from repro.cache.store import (
     entry_from_refine_round,
@@ -78,7 +79,6 @@ from repro.core.pipeline import (
 )
 from repro.core.transform import transform_script
 from repro.errors import TransformError
-from repro.guard import chaos
 from repro.solver import costs
 from repro.telemetry.stats import unified_stats
 
@@ -387,24 +387,18 @@ class RefinementStaub:
                 telemetry.counter_add("refine.cache_hit", mode="scratch")
                 return report_from_entry(entry), 1
         staub = Staub() if spec == "absint" else Staub(width_strategy=spec)
-        plan = chaos.active()
-        injected_before = plan.total_injected if plan is not None else 0
+        watch = Watch(guard.active())
         with telemetry.span("refinement.round", mode="scratch") as span:
             report = staub.run(script, budget=remaining)
             span.set_attr("width", report.width)
             span.set_attr("case", report.case)
-        if (
-            key is not None
-            and report.case != CASE_BOUNDED_UNKNOWN
-            and (plan is None or plan.total_injected == injected_before)
-        ):
-            # Only conclusive rounds are stored -- an unknown is a budget
-            # artifact, not a fact about the script -- and never ones a
-            # fault was injected into.
-            try:
-                store.put(key, entry_from_report(report), kind="refine")
-            except TypeError:
-                pass  # model value the cache cannot encode
+        # A bounded-unknown round is a budget artifact, not a fact about
+        # the script (its budget is not keyed), so it is never stored; a
+        # transform failure (no bounded status) is.
+        record(
+            store, watch, report.bounded_status, key,
+            lambda: entry_from_report(report), kind="refine",
+        )
         return report, 0
 
     # -- incremental engine ------------------------------------------------
@@ -776,29 +770,24 @@ class RefinementStaub:
             ctx["engine"].assert_hard(
                 transformed.script.assertions, "bv-incremental", incremental=True
             )
-        plan = chaos.active()
-        injected_before = plan.total_injected if plan is not None else 0
+        watch = Watch(guard.active())
         result = _solve_round(
             ctx["engine"], transformed.tracked, widths, guard_width=width,
             max_work=remaining, max_conflicts=max_conflicts,
         )
         # Conclusive answers are facts about the width state; a *capped*
         # unknown (the conflict cap bit before the budget did) is a
-        # deterministic phase step and replays too. A budget unknown is
-        # an artifact of this run's remaining budget and is never stored.
-        conclusive = result.status != "unknown"
+        # deterministic phase step that its key determines and replays
+        # too. A budget unknown is an artifact of this run's remaining
+        # budget and is never stored.
         capped_out = max_conflicts is not None and (
             remaining is None or result.work < remaining
         )
-        if (
-            key is not None
-            and (conclusive or capped_out)
-            and (plan is None or plan.total_injected == injected_before)
-        ):
-            try:
-                store.put(key, entry_from_refine_round(result), kind="refine")
-            except TypeError:
-                pass  # model value the cache cannot encode
+        record(
+            store, watch, result.status, key,
+            lambda: entry_from_refine_round(result),
+            determined=capped_out, kind="refine",
+        )
         return result, 0
 
 

@@ -36,13 +36,12 @@ produces, with ``t_trans`` covering only the *fresh* analysis and
 translation work this check actually did.
 """
 
-from repro import telemetry
+from repro import guard, telemetry
 from repro import cache as solve_cache
 from repro.bv.solver import BoundedEngine
+from repro.cache.admission import Watch, lookup, record
 from repro.cache.keys import assertion_digest
 from repro.core.absint import IntWidthDomain, int_width
-from repro.guard import chaos
-from repro.telemetry.stats import unified_stats
 from repro.core.correspondence import INT_TO_BITVECTOR
 from repro.core.inference import BoundInference, _analyze_term
 from repro.core.pipeline import (
@@ -58,84 +57,15 @@ from repro.core.pipeline import (
 )
 from repro.core.transform import transform_script
 from repro.core.verify import verify_model
-from repro.errors import SessionError, SmtLibError, TransformError
+from repro.errors import TransformError
 from repro.smtlib.script import Script
 from repro.smtlib.sorts import BOOL, INT, bv_sort
 from repro.smtlib.values import BVValue
 from repro.solver.result import SAT, UNSAT
-from repro.solver.session import check_scopes
+from repro.solver.session import ScopeStack, check_scopes
 
 
-class _ScopedInference:
-    """Incremental integer bound inference over a scope stack.
-
-    Mirrors :func:`repro.core.inference.infer_bounds` piecewise: the
-    assumption and the root are both joins over per-assertion
-    contributions, so scopes compose and retract exactly.
-    """
-
-    def __init__(self):
-        self._scopes = [[]]  # per scope: (term, const_width, size) triples
-        self._roots = {}  # (tid, assumption) -> abstract root width
-        self.reinferred = 0
-
-    def push(self, count=1):
-        for _ in range(count):
-            self._scopes.append([])
-
-    def pop(self, count=1):
-        del self._scopes[len(self._scopes) - count:]
-
-    def reset(self):
-        self._scopes = [[]]
-
-    def add(self, term):
-        widest = 2
-        for sub in term.subterms():
-            if sub.is_const and sub.sort is INT:
-                width = int_width(sub.value)
-                if width > widest:
-                    widest = width
-        self._scopes[-1].append((term, widest, term.size()))
-
-    @property
-    def assumption(self):
-        """x = width of the largest live constant, plus one bit."""
-        widest = 2
-        for scope in self._scopes:
-            for _, width, _ in scope:
-                if width > widest:
-                    widest = width
-        return widest + 1
-
-    def infer(self):
-        """Bounds for the live stack, re-analyzing only cache misses.
-
-        Returns:
-            ``(BoundInference, fresh_work)`` where ``fresh_work`` counts
-            the DAG nodes actually traversed this call (zero when every
-            live assertion was already analyzed at this assumption).
-        """
-        assumption = self.assumption
-        domain = IntWidthDomain(assumption)
-        roots = []
-        fresh = 0
-        for scope in self._scopes:
-            for term, _, size in scope:
-                key = (term.tid, assumption)
-                root = self._roots.get(key)
-                if root is None:
-                    root = self._roots[key] = _analyze_term(
-                        term, domain, {}, False
-                    )
-                    fresh += size
-                    self.reinferred += 1
-                roots.append(root)
-        root = domain.join(roots) if roots else domain.join([])
-        return BoundInference("int", assumption, root, {}, None), fresh
-
-
-class ArbitrageSession:
+class ArbitrageSession(ScopeStack):
     """A push/pop session of *unbounded* integer constraints, solved by
     scoped theory arbitrage over one long-lived bounded engine.
 
@@ -150,16 +80,15 @@ class ArbitrageSession:
 
     def __init__(self, width_strategy="absint", max_int_width=MAX_INT_WIDTH,
                  width_hint=None, budget=None):
+        super().__init__()
         self.width_strategy = width_strategy
         self.max_int_width = max_int_width
         self.budget = budget
-        self.declarations = {}
-        self._scopes = [[]]
-        self._inference = _ScopedInference()
         self._width = width_hint or 0
         self._engine = None
         self._slices = {}  # (tid, width) -> tuple of bounded terms
-        self._digest_memo = {}  # bounded-term tid -> canonical digest
+        self._const_widths = {}  # tid -> width of the term's widest Int constant
+        self._roots = {}  # (tid, assumption) -> abstract root width
         self._last_live = None  # tids live at the previous check
         self.counters = {
             "checks": 0,
@@ -169,70 +98,50 @@ class ArbitrageSession:
             "core_hits": 0,
         }
 
-    # -- scope stack -------------------------------------------------------
-
-    @property
-    def depth(self):
-        return len(self._scopes) - 1
-
     @property
     def width(self):
         """The current encoding width (0 before the first check)."""
         return self._width if self._engine is not None else 0
 
-    def push(self, count=1):
-        for _ in range(count):
-            self._scopes.append([])
-        self._inference.push(count)
-
-    def pop(self, count=1):
-        if count > self.depth:
-            raise SessionError(
-                f"pop {count} below assertion-stack depth {self.depth}"
-            )
-        del self._scopes[len(self._scopes) - count:]
-        self._inference.pop(count)
-
-    def reset_assertions(self):
-        self._scopes = [[]]
-        self._inference.reset()
-
-    def declare(self, name, sort):
-        existing = self.declarations.get(name)
-        if existing is None:
-            self.declarations[name] = sort
-        elif existing is not sort:
-            raise SmtLibError(
-                f"variable {name} redeclared with sort {sort}, was {existing}"
-            )
-
-    def assert_term(self, term):
-        if term.sort is not BOOL:
-            raise SmtLibError(
-                f"asserted term has sort {term.sort}, expected Bool"
-            )
-        for name, var in term.variables().items():
-            self.declare(name, var.sort)
-        self._scopes[-1].append(term)
-        self._inference.add(term)
-
-    def assertions(self):
-        return [term for scope in self._scopes for term in scope]
-
-    def flattened_script(self):
-        """The live stack as one flat unbounded script (what sat answers
-        are verified against)."""
-        script = Script(declarations=self.declarations, assertions=self.assertions())
-        script.logic = script.infer_logic()
-        return script
-
     # -- the scoped pipeline ----------------------------------------------
 
-    def _digest(self, term):
-        digest = self._digest_memo.get(term.tid)
-        if digest is None:
-            digest = self._digest_memo[term.tid] = assertion_digest(term)
-        return digest
+    def _infer(self, live):
+        """Incremental integer bound inference over the live terms.
+
+        Mirrors :func:`repro.core.inference.infer_bounds` piecewise: the
+        assumption ``x`` is the width of the widest live constant plus
+        one bit, and the root is the domain join of per-assertion roots,
+        so scopes compose and retract exactly. Per-assertion analyses are
+        memoized per ``(term, assumption)``.
+
+        Returns:
+            ``(BoundInference, fresh_work)`` where ``fresh_work`` counts
+            the DAG nodes actually traversed this call (zero when every
+            live assertion was already analyzed at this assumption).
+        """
+        widest = 2
+        for term in live:
+            width = self._const_widths.get(term.tid)
+            if width is None:
+                width = 2
+                for sub in term.subterms():
+                    if sub.is_const and sub.sort is INT:
+                        width = max(width, int_width(sub.value))
+                self._const_widths[term.tid] = width
+            widest = max(widest, width)
+        assumption = widest + 1
+        domain = IntWidthDomain(assumption)
+        roots = []
+        fresh = 0
+        for term in live:
+            key = (term.tid, assumption)
+            root = self._roots.get(key)
+            if root is None:
+                root = self._roots[key] = _analyze_term(term, domain, {}, False)
+                fresh += term.size()
+                self.counters["reinferred"] += 1
+            roots.append(root)
+        return BoundInference("int", assumption, domain.join(roots), {}, None), fresh
 
     def check(self, budget=None):
         """Run the arbitrage pipeline on the live stack.
@@ -244,7 +153,6 @@ class ArbitrageSession:
         """
         budget = self.budget if budget is None else budget
         self.counters["checks"] += 1
-        before = self._inference.reinferred
         try:
             report = self._check(budget)
         except TransformError:
@@ -252,7 +160,6 @@ class ArbitrageSession:
                 CASE_TRANSFORM_FAILED,
                 t_trans=TRANSLATE_COST_PER_NODE * self.flattened_script().size(),
             )
-        self.counters["reinferred"] += self._inference.reinferred - before
         report.stats["case"] = report.case
         if telemetry.enabled:
             telemetry.counter_add("session.arbitrage_case", case=report.case)
@@ -268,7 +175,8 @@ class ArbitrageSession:
                     f"{name} has sort {sort}"
                 )
         t_trans = 0
-        inference, fresh = self._inference.infer()
+        live = self.assertions()
+        inference, fresh = self._infer(live)
         if fresh:
             with telemetry.span("infer", incremental=True) as span:
                 span.set_attr("theory", "int")
@@ -292,7 +200,7 @@ class ArbitrageSession:
 
         scope_slices = []
         fresh_nodes = 0
-        for scope in self._scopes:
+        for scope in self.scopes:
             bounded_scope = []
             for term in scope:
                 key = (term.tid, width)
@@ -314,34 +222,34 @@ class ArbitrageSession:
         remaining = None if budget is None else max(1, budget - t_trans)
 
         store = solve_cache.get_cache()
-        slice_digests = None
-        if store is not None and store.has_cores():
-            slice_digests = frozenset(
-                self._digest(term)
+        # Subsumption over the *flattened* slice digests: a core learned
+        # under any scope chain (or by the scratch pipeline at this width)
+        # answers this stack unsat with zero solver work -- the
+        # bounded-solve span never opens and the warm engine is left
+        # untouched.
+        hit = lookup(
+            store,
+            digests=lambda: frozenset(
+                assertion_digest(term)
                 for bounded_scope in scope_slices
                 for term in bounded_scope
+            ),
+            kind="arbitrage-session",
+        )
+        if hit is not None:
+            self.counters["core_hits"] += 1
+            telemetry.counter_add("session.core_hit")
+            stats = hit.stats
+            stats["width"] = width
+            return ArbitrageReport(
+                CASE_BOUNDED_UNSAT,
+                t_trans=t_trans,
+                t_post=0,
+                width=width,
+                inference=inference,
+                bounded_status=UNSAT,
+                stats=stats,
             )
-            if slice_digests and store.find_core(
-                slice_digests, kind="arbitrage-session"
-            ) is not None:
-                # Subsumption over the *flattened* slice digests: a core
-                # learned under any scope chain (or by the scratch
-                # pipeline at this width) answers this stack unsat with
-                # zero solver work -- the bounded-solve span never opens
-                # and the warm engine is left untouched.
-                self.counters["core_hits"] += 1
-                telemetry.counter_add("session.core_hit")
-                stats = unified_stats(core_reuse=True)
-                stats["width"] = width
-                return ArbitrageReport(
-                    CASE_BOUNDED_UNSAT,
-                    t_trans=t_trans,
-                    t_post=0,
-                    width=width,
-                    inference=inference,
-                    bounded_status=UNSAT,
-                    stats=stats,
-                )
 
         # Retraction-only checks (the live stack is a strict subset of
         # the previous check's -- e.g. pop the compact-argument box and
@@ -350,19 +258,16 @@ class ArbitrageSession:
         # can point the search away from the newly opened region. Split
         # the budget: the warm engine gets half, and if it comes back
         # unknown a fresh encoding gets the rest.
-        plan = chaos.active()
-        injected_before = plan.total_injected if plan is not None else 0
-        live = frozenset(
-            term.tid for scope in self._scopes for term in scope
-        )
+        live_tids = frozenset(term.tid for term in live)
         stale = (
             self._engine.checks > 0
             and self._last_live is not None
-            and live < self._last_live
+            and live_tids < self._last_live
         )
         rescue_eligible = stale and remaining is not None
         first_budget = max(1, remaining // 2) if rescue_eligible else remaining
         t_post = 0
+        watch = Watch(guard.active())
         with telemetry.span("bounded-solve", width=width, incremental=True) as span:
             bounded, core_terms = check_scopes(
                 self._engine, scope_slices, bounded_decls, first_budget
@@ -382,7 +287,7 @@ class ArbitrageSession:
                 bounded = retry
             span.set_attr("status", bounded.status)
             span.settle(t_post)
-        self._last_live = live
+        self._last_live = live_tids
         stats = dict(bounded.stats)
         stats["width"] = width
         common = dict(
@@ -395,16 +300,13 @@ class ArbitrageSession:
         )
 
         if bounded.status == UNSAT:
-            if (
-                store is not None
-                and store.core_reuse
-                and (plan is None or plan.total_injected == injected_before)
-                and core_terms
-            ):
-                store.add_core(
-                    frozenset(self._digest(term) for term in core_terms),
-                    kind="arbitrage-session",
-                )
+            record(
+                store, watch, UNSAT,
+                core=lambda: frozenset(
+                    assertion_digest(term) for term in core_terms or ()
+                ),
+                kind="arbitrage-session",
+            )
             return ArbitrageReport(CASE_BOUNDED_UNSAT, **common)
         if bounded.status != SAT:
             return ArbitrageReport(CASE_BOUNDED_UNKNOWN, **common)

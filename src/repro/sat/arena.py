@@ -97,9 +97,6 @@ class ClauseArena:
     def slot(self, reference):
         return self.data[reference - 3]
 
-    def set_slot(self, reference, slot):
-        self.data[reference - 3] = slot
-
     def is_learnt(self, reference):
         return bool(self.data[reference - 2] & FLAG_LEARNT)
 

@@ -29,15 +29,13 @@ import os
 from collections import deque
 
 from repro import telemetry
+from repro.cache.admission import lookup
 from repro.cache.keys import cache_key, script_digests
-from repro.cache.store import result_from_entry
 from repro.errors import ReproError
 from repro.guard import chaos
 from repro.service import protocol
 from repro.service.tenancy import TenantLedger
 from repro.service.workers import WorkerPool, run_request
-from repro.solver.result import UNSAT, SolveResult
-from repro.telemetry.stats import unified_stats
 
 __all__ = ["SolveService", "serve_socket", "serve_stream"]
 
@@ -181,23 +179,11 @@ class SolveService:
         key = None
         if self.cache is not None and request.op == "solve":
             key = cache_key(script, profile=request.profile, budget=request.budget)
-            entry = self.cache.get(key, kind="service")
-            if entry is not None:
-                return [
-                    (client, protocol.result_response(request, result_from_entry(entry)))
-                ]
-            if self.cache.has_cores() and script.assertions:
-                core = self.cache.find_core(script_digests(script), kind="service")
-                if core is not None:
-                    result = SolveResult(
-                        UNSAT,
-                        None,
-                        0,
-                        engine="core-reuse",
-                        stats=unified_stats(core_reuse=True),
-                        cached=True,
-                    )
-                    return [(client, protocol.result_response(request, result))]
+            hit = lookup(
+                self.cache, key, lambda: script_digests(script), kind="service"
+            )
+            if hit is not None:
+                return [(client, protocol.result_response(request, hit))]
 
         if len(self._pending) >= self.queue_capacity:
             return self._reject(request, "saturated", client)

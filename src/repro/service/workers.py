@@ -43,9 +43,11 @@ def run_request(request, governor=None, script=None, cache=None):
 
     Returns:
         ``(response_payload, cache_entry)`` -- the JSON-safe response
-        and, when the outcome is conclusive, untainted, and within
-        budget, a persistable cache entry dict (else None).
+        and the cache entry dict the admission rule
+        (:func:`repro.cache.admission.admit`) lets through for a fresh
+        solve (else None); the server stores it.
     """
+    from repro.cache.admission import Watch, admit
     from repro.cache.store import entry_from_result
     from repro.smtlib import parse_script
     from repro.solver import solve_script
@@ -65,8 +67,7 @@ def run_request(request, governor=None, script=None, cache=None):
         )
     if governor is None:
         governor = guard.ResourceBudget(work=request.budget, deadline=request.timeout)
-    plan = chaos.active()
-    injected_before = plan.total_injected if plan is not None else 0
+    watch = Watch(governor)
     try:
         if request.op == "solve":
             result = solve_script(
@@ -88,17 +89,8 @@ def run_request(request, governor=None, script=None, cache=None):
         telemetry.counter_add("solver.internal_error", site="service", op=request.op)
         return protocol.error_response(f"solver error: {error}", id=request.id), None
     entry = None
-    if (
-        result is not None
-        and result.status in ("sat", "unsat")
-        and not result.cached
-        and governor.reason not in ("deadline", "cancelled")
-        and (plan is None or plan.total_injected == injected_before)
-    ):
-        try:
-            entry = entry_from_result(result)
-        except TypeError:
-            entry = None  # model value with no JSON encoding
+    if result is not None and not result.cached:
+        entry = admit(watch, result.status, lambda: entry_from_result(result))
     return payload, entry
 
 

@@ -7,7 +7,7 @@ question is the conjunction of the assertions.
 
 from repro.errors import SmtLibError
 from repro.smtlib.builders import And, TRUE
-from repro.smtlib.sorts import BOOL, INT, REAL
+from repro.smtlib.sorts import BOOL
 
 
 class Command:
@@ -165,14 +165,3 @@ class Script:
             f"Script(logic={self.logic!r}, vars={len(self.declarations)}, "
             f"assertions={len(self.assertions)})"
         )
-
-
-def declare_sort_by_name(name):
-    """Resolve a plain sort name used in declarations."""
-    if name == "Bool":
-        return BOOL
-    if name == "Int":
-        return INT
-    if name == "Real":
-        return REAL
-    raise SmtLibError(f"unknown sort {name!r}")

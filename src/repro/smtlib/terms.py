@@ -270,11 +270,6 @@ class Term:
             memo[sub.tid] = 1 + max((memo[a.tid] for a in sub.args), default=0)
         return memo[self.tid]
 
-    @staticmethod
-    def interning_table_size():
-        """Number of live interned terms (diagnostic)."""
-        return len(Term._table)
-
 
 def map_terms(roots, transform):
     """Rebuild a term DAG bottom-up through ``transform``.

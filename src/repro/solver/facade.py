@@ -18,14 +18,15 @@ with ``result.cached`` set.
 from repro import cache as solve_cache
 from repro import guard, telemetry
 from repro.bv.solver import assertion_core_digests, solve_bounded_script
+from repro.cache.admission import CORE_REUSE, Watch, lookup, record
 from repro.cache.keys import cache_key, script_digests
-from repro.cache.store import entry_from_result, result_from_entry
+from repro.cache.store import entry_from_result
 from repro.errors import BudgetExceeded, UnsupportedLogicError
 from repro.guard import chaos
 from repro.solver import costs
 from repro.solver.dpllt import solve_with_theory
 from repro.solver.profiles import get_profile
-from repro.solver.result import SAT, UNKNOWN, UNSAT, SolveResult
+from repro.solver.result import UNKNOWN, SolveResult
 from repro.telemetry.stats import unified_stats
 
 
@@ -72,29 +73,16 @@ def solve_script(script, budget=None, profile="zorro", cache=None, governor=None
     if store is not None:
         key = cache_key(script, profile=profile.name, budget=budget)
         with telemetry.span("cache-lookup", profile=profile.name) as span:
-            entry = store.get(key)
-            span.set_attr("hit", entry is not None)
-            core = None
-            if entry is None and store.has_cores() and script.assertions:
-                # Whole-key miss: a cached unsat core that is a subset of
-                # this script's assertion set still proves it unsat with
-                # zero solving (Cache-a-lot subsumption).
-                core = store.find_core(script_digests(script))
-                span.set_attr("core_hit", core is not None)
-        if entry is not None:
-            return result_from_entry(entry)
-        if core is not None:
-            return SolveResult(
-                UNSAT,
-                None,
-                0,
-                engine="core-reuse",
-                stats=unified_stats(core_reuse=True),
-                cached=True,
-            )
+            # A whole-key miss can still be answered by a cached unsat
+            # core that is a subset of this script's assertion set: it
+            # proves the script unsat with zero solving (Cache-a-lot).
+            hit = lookup(store, key, lambda: script_digests(script))
+            span.set_attr("hit", hit is not None and hit.engine != CORE_REUSE)
+            span.set_attr("core_hit", hit is not None and hit.engine == CORE_REUSE)
+        if hit is not None:
+            return hit
 
-    plan = chaos.active()
-    injected_before = plan.total_injected if plan is not None else 0
+    watch = Watch(governor)
     with guard.activate(governor):
         chaos.inject("solver.pre_solve", salt=profile.name, governor=governor)
         try:
@@ -110,20 +98,16 @@ def solve_script(script, budget=None, profile="zorro", cache=None, governor=None
     if governor.gave_up_layer is not None:
         result.stats.setdefault("gave_up", governor.gave_up_layer)
         result.stats.setdefault("gave_up_reason", governor.reason)
-    if store is not None and _cacheable(result, governor, plan, injected_before):
-        try:
-            store.put(key, entry_from_result(result))
-        except TypeError:
-            pass  # model value with no JSON encoding: don't cache it
-        if (
-            result.status == UNSAT
-            and store.core_reuse
-            and script.assertions
-            and _bounded_logic(script)
-        ):
-            digests = assertion_core_digests(script, max_work=budget)
-            if digests is not None:
-                store.add_core(digests)
+    # Every untainted result is stored, an own-budget unknown included:
+    # the key carries the budget, so that unknown is a fact about it.
+    record(
+        store, watch, result.status, key, lambda: entry_from_result(result),
+        determined=True,
+        core=lambda: (
+            assertion_core_digests(script, max_work=budget)
+            if _bounded_logic(script) else None
+        ),
+    )
     return result
 
 
@@ -189,20 +173,6 @@ def _gave_up_result(governor, error, profile):
     )
     _record_solve(result, profile.name)
     return result
-
-
-def _cacheable(result, governor, plan, injected_before):
-    """Whether a fresh result may be persisted.
-
-    Deadline/cancellation unknowns are wall-clock artifacts and chaos-
-    perturbed results are fault artifacts; caching either would let a
-    transient condition poison every warm rerun.
-    """
-    if governor.reason in ("deadline", "cancelled"):
-        return False
-    if plan is not None and plan.total_injected != injected_before:
-        return False
-    return True
 
 
 def _solve_uncached(script, budget, profile):

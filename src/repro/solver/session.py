@@ -28,18 +28,23 @@ Sessions over unbounded theories fall back to a scratch
 differential-fuzzing oracle in ``tests/test_session.py``). The
 scope-aware STAUB lane lives in :mod:`repro.core.session`.
 
-Caching uses :class:`~repro.cache.keys.ScopeKeyChain` prefix digests, so
-two sessions reaching the same scope stack through any interleaving of
-push/pop share entries. Resource exhaustion and injected chaos faults
-degrade to structured ``unknown`` results that never poison the cache
-and never wedge the session.
+Both session kinds keep their assertions on one :class:`ScopeStack`,
+which also builds the scope-prefix cache key, so two sessions reaching
+the same scope stack through any interleaving of push/pop share entries.
+What a check may store is decided by the one admission rule
+(:mod:`repro.cache.admission`): resource exhaustion and injected chaos
+faults degrade to structured ``unknown`` results that never poison the
+cache and never wedge the session.
 """
+
+import hashlib
 
 from repro import cache as solve_cache
 from repro import guard, telemetry
 from repro.bv.solver import BLAST_WORK_PER_CLAUSE, BoundedEngine
-from repro.cache.keys import ScopeKeyChain, assertion_digest
-from repro.cache.store import entry_from_result, result_from_entry
+from repro.cache.admission import CORE_REUSE, Watch, lookup, record
+from repro.cache.keys import assertion_digest, canonical_term_text
+from repro.cache.store import entry_from_result
 from repro.errors import BudgetExceeded, SessionError, SmtLibError
 from repro.guard import chaos
 from repro.guard.chaos import ChaosCrash
@@ -47,8 +52,12 @@ from repro.smtlib.script import Script
 from repro.smtlib.sorts import BOOL
 from repro.solver import costs
 from repro.solver.facade import solve_script
-from repro.solver.result import SAT, UNKNOWN, UNSAT, SolveResult
+from repro.solver.result import UNKNOWN, SolveResult
 from repro.telemetry.stats import unified_stats
+
+#: Root of the scope-prefix key chain. Part of every stored session key:
+#: changing it orphans every session entry already on disk.
+_KEY_ROOT = "staub-session-v1"
 
 
 def check_scopes(engine, scopes, declarations, budget):
@@ -103,14 +112,14 @@ def check_scopes(engine, scopes, declarations, budget):
     return result, check.core
 
 
-class Session:
-    """An SMT-LIB assertion-stack session over the native solver stack.
+class ScopeStack:
+    """SMT-LIB's assertion stack: push/pop scopes of live assertions.
 
-    Args:
-        profile: solver profile for unbounded checks.
-        budget: default unified work budget per ``check-sat``.
-        cache: a :class:`~repro.cache.SolveCache` overriding the active
-            process-wide cache.
+    Both session kinds are scope stacks -- :class:`Session` over the
+    native solver and :class:`~repro.core.session.ArbitrageSession` over
+    theory arbitrage -- so the scopes, their validation, and what the live
+    stack means (its terms, flattened script, digest set and cache key)
+    are defined here once.
 
     Declarations are *global* (they survive ``pop`` and
     ``reset-assertions``), matching SMT-LIB's
@@ -118,48 +127,23 @@ class Session:
     fragment supports, documented in the parser.
     """
 
-    def __init__(self, profile="zorro", budget=None, cache=None):
-        self.profile = profile
-        self.budget = budget
-        self.cache = cache
+    def __init__(self):
         self.declarations = {}
-        self._scopes = [[]]
-        self._chain = ScopeKeyChain()
-        self._engine = None  # the BoundedEngine every bounded check reuses
-        self._digest_memo = {}  # term tid -> canonical assertion digest
-        #: After a check the engine answered unsat: the live terms whose
-        #: assumption literals appear in the final conflict (the
-        #: assertion-level unsat core). None after any other check -- in
-        #: particular after a root conflict, which has no attributable
-        #: assertion subset.
-        self.last_core_terms = None
-        self.counters = {
-            "push": 0,
-            "pop": 0,
-            "reset": 0,
-            "check_sat": 0,
-            "cache_hits": 0,
-            "core_hits": 0,
-            "backend_checks": 0,
-            "fallback_checks": 0,
-            "work": 0,
-        }
-
-    # -- scope stack -------------------------------------------------------
+        #: The live assertions per scope, outermost first.
+        self.scopes = [[]]
+        self._chain = [None]  # per scope: its key-chain digest, once computed
 
     @property
     def depth(self):
         """Number of pushed scopes (the root scope is depth 0)."""
-        return len(self._scopes) - 1
+        return len(self.scopes) - 1
 
     def push(self, count=1):
         if count < 0:
             raise SessionError(f"push takes a non-negative count, got {count}")
         for _ in range(count):
-            self._scopes.append([])
-        self._chain.push(count)
-        self.counters["push"] += count
-        telemetry.counter_add("session.push", count)
+            self.scopes.append([])
+            self._chain.append(None)
 
     def pop(self, count=1):
         if count < 0:
@@ -168,19 +152,13 @@ class Session:
             raise SessionError(
                 f"pop {count} below assertion-stack depth {self.depth}"
             )
-        if count:
-            del self._scopes[len(self._scopes) - count:]
-            self._chain.pop(count)
-        self.counters["pop"] += count
-        telemetry.counter_add("session.pop", count)
+        del self.scopes[len(self.scopes) - count:]
+        del self._chain[len(self._chain) - count:]
 
     def reset_assertions(self):
-        """Drop every scope and every assertion; keep declarations and
-        the engine (its term cache makes re-assertion free)."""
-        self._scopes = [[]]
-        self._chain.reset()
-        self.counters["reset"] += 1
-        telemetry.counter_add("session.reset")
+        """Drop every scope and every assertion; keep declarations."""
+        self.scopes = [[]]
+        self._chain = [None]
 
     def declare(self, name, sort):
         existing = self.declarations.get(name)
@@ -199,19 +177,114 @@ class Session:
             )
         for name, var in term.variables().items():
             self.declare(name, var.sort)
-        self._scopes[-1].append(term)
-        self._chain.add_assertion(term)
+        self.scopes[-1].append(term)
+        self._chain[-1] = None
 
     def assertions(self):
         """The live assertions, outermost scope first."""
-        return [term for scope in self._scopes for term in scope]
+        return [term for scope in self.scopes for term in scope]
 
     def flattened_script(self):
-        """The current stack as one flat script (the scratch-equivalent
-        question; also what the differential fuzzer re-solves)."""
+        """The live stack as one flat script (the scratch-equivalent
+        question: what the differential fuzzer re-solves and what
+        arbitrage verifies sat answers against)."""
         script = Script(declarations=self.declarations, assertions=self.assertions())
         script.logic = script.infer_logic()
         return script
+
+    def digests(self):
+        """Canonical digest set of the flattened live stack."""
+        return frozenset(assertion_digest(term) for term in self.assertions())
+
+    def key(self, profile, budget):
+        """The scope-prefix cache key for a ``check-sat`` of the live stack.
+
+        Each scope's link is ``H(previous link || sorted set of the
+        scope's canonically printed assertions)``, computed lazily and
+        kept until the scope changes, so a key after an assertion costs
+        only the top scope, and two stacks that reach the same scopes
+        through any interleaving of push/pop share it. Scope *boundaries*
+        are part of the identity: ``[A B]`` and ``[A | B]`` flatten to the
+        same conjunction but key differently -- conservative (never
+        wrong, occasionally a duplicate entry), and what makes the prefix
+        reuse sound. Declarations and the solve parameters are mixed in
+        last, as :func:`~repro.cache.keys.cache_key` mixes them for whole
+        scripts.
+        """
+        digest = hashlib.sha256()
+        digest.update(self._link(self.depth).encode("utf-8"))
+        for name in sorted(self.declarations):
+            digest.update(f"|{name}:{self.declarations[name].name}".encode("utf-8"))
+        digest.update(
+            f"|kind=session|profile={profile}|budget={budget}".encode("utf-8")
+        )
+        return digest.hexdigest()
+
+    def _link(self, index):
+        if self._chain[index] is None:
+            parent = _KEY_ROOT if index == 0 else self._link(index - 1)
+            digest = hashlib.sha256()
+            digest.update(parent.encode("utf-8"))
+            lines = {canonical_term_text(term) for term in self.scopes[index]}
+            for line in sorted(lines):
+                digest.update(b"\x00")
+                digest.update(line.encode("utf-8"))
+            self._chain[index] = digest.hexdigest()
+        return self._chain[index]
+
+
+class Session(ScopeStack):
+    """An SMT-LIB assertion-stack session over the native solver stack.
+
+    Args:
+        profile: solver profile for unbounded checks.
+        budget: default unified work budget per ``check-sat``.
+        cache: a :class:`~repro.cache.SolveCache` overriding the active
+            process-wide cache.
+    """
+
+    def __init__(self, profile="zorro", budget=None, cache=None):
+        super().__init__()
+        self.profile = profile
+        self.budget = budget
+        self.cache = cache
+        self._engine = None  # the BoundedEngine every bounded check reuses
+        #: After a check the engine answered unsat: the live terms whose
+        #: assumption literals appear in the final conflict (the
+        #: assertion-level unsat core). None after any other check -- in
+        #: particular after a root conflict, which has no attributable
+        #: assertion subset.
+        self.last_core_terms = None
+        self.counters = {
+            "push": 0,
+            "pop": 0,
+            "reset": 0,
+            "check_sat": 0,
+            "cache_hits": 0,
+            "core_hits": 0,
+            "backend_checks": 0,
+            "fallback_checks": 0,
+            "work": 0,
+        }
+
+    # -- scope stack (counted) ---------------------------------------------
+
+    def push(self, count=1):
+        super().push(count)
+        self.counters["push"] += count
+        telemetry.counter_add("session.push", count)
+
+    def pop(self, count=1):
+        super().pop(count)
+        self.counters["pop"] += count
+        telemetry.counter_add("session.pop", count)
+
+    def reset_assertions(self):
+        """Drop every scope and every assertion; keep declarations and
+        the engine (its term cache makes re-assertion free)."""
+        super().reset_assertions()
+        self.counters["reset"] += 1
+        telemetry.counter_add("session.reset")
 
     # -- solving -----------------------------------------------------------
 
@@ -245,71 +318,44 @@ class Session:
         store = self.cache if self.cache is not None else solve_cache.get_cache()
         key = None
         if store is not None:
-            key = self._chain.key(
-                self.declarations, profile=self.profile, budget=budget
-            )
-            entry = store.get(key)
-            if entry is not None:
-                self.counters["cache_hits"] += 1
-                telemetry.counter_add("session.cache_hit")
-                return result_from_entry(entry)
-            if store.has_cores():
-                # Scope-prefix miss: subsumption works on the *flattened*
-                # digest set, so a core learned under any scope chain (or
-                # from a flat script) can still answer this stack.
-                digests = self._live_digests()
-                if digests and store.find_core(digests, kind="session") is not None:
+            key = self.key(self.profile, budget)
+            # A scope-prefix miss can still be answered by a core: core
+            # subsumption works on the *flattened* digest set, so a core
+            # learned under any scope chain (or from a flat script) can
+            # answer this stack.
+            hit = lookup(store, key, self.digests, core_kind="session")
+            if hit is not None:
+                if hit.engine == CORE_REUSE:
                     self.counters["core_hits"] += 1
                     telemetry.counter_add("session.core_hit")
-                    return SolveResult(
-                        UNSAT,
-                        None,
-                        0,
-                        engine="core-reuse",
-                        stats=unified_stats(core_reuse=True),
-                        cached=True,
-                    )
+                else:
+                    self.counters["cache_hits"] += 1
+                    telemetry.counter_add("session.cache_hit")
+                return hit
 
-        result, tainted = self._check_bounded(budget)
+        result, watch = self._check_bounded(budget)
         self.counters["backend_checks"] += 1
         self.counters["work"] += result.work
-        if store is not None and result.status != UNKNOWN and not tainted:
-            try:
-                store.put(key, entry_from_result(result), kind="session")
-            except TypeError:
-                pass  # model value with no JSON encoding: don't cache it
-            if result.status == UNSAT and self.last_core_terms:
-                store.add_core(
-                    frozenset(self._digest(term) for term in self.last_core_terms),
-                    kind="session",
-                )
-        return result
-
-    def _digest(self, term):
-        digest = self._digest_memo.get(term.tid)
-        if digest is None:
-            digest = self._digest_memo[term.tid] = assertion_digest(term)
-        return digest
-
-    def _live_digests(self):
-        """Canonical digest set of the flattened live assertion stack."""
-        return frozenset(
-            self._digest(term) for scope in self._scopes for term in scope
+        core_terms = self.last_core_terms or ()
+        record(
+            store, watch, result.status, key, lambda: entry_from_result(result),
+            core=lambda: frozenset(assertion_digest(term) for term in core_terms),
+            kind="session",
         )
+        return result
 
     def _check_bounded(self, budget):
         """One check on the long-lived engine, inside a fresh governor.
 
-        Returns ``(result, tainted)`` where ``tainted`` marks results
-        shaped by wall-clock exhaustion or injected faults -- those must
-        never be cached (they would poison every warm rerun).
+        Returns ``(result, watch)``: the
+        :class:`~repro.cache.admission.Watch` the admission rule reads to
+        refuse results shaped by wall-clock exhaustion or injected faults.
         """
         outer = guard.active()
         governor = guard.ResourceBudget(
             work=budget, parent=outer if outer is not guard.NULL_GOVERNOR else None
         )
-        plan = chaos.active()
-        injected_before = plan.total_injected if plan is not None else 0
+        watch = Watch(governor)
         with telemetry.span("session.check", depth=self.depth) as span:
             with guard.activate(governor):
                 try:
@@ -319,7 +365,7 @@ class Session:
                     if self._engine is None:
                         self._engine = BoundedEngine(self.declarations)
                     result, self.last_core_terms = check_scopes(
-                        self._engine, self._scopes, self.declarations, budget
+                        self._engine, self.scopes, self.declarations, budget
                     )
                 except ChaosCrash:
                     telemetry.counter_add("session.chaos_crash")
@@ -353,16 +399,7 @@ class Session:
         if governor.gave_up_layer is not None:
             result.stats.setdefault("gave_up", governor.gave_up_layer)
             result.stats.setdefault("gave_up_reason", governor.reason)
-        injected = plan is not None and plan.total_injected != injected_before
-        # "parent" covers an enclosing governor's deadline or cancellation
-        # tripping the per-check budget from outside.
-        tainted = injected or governor.reason in ("deadline", "cancelled", "parent")
-        return result, tainted
-
-
-def open_session(profile="zorro", budget=None, cache=None):
-    """Convenience constructor mirroring :func:`solve_script`'s surface."""
-    return Session(profile=profile, budget=budget, cache=cache)
+        return result, watch
 
 
 def run_script_session(script, profile="zorro", budget=None, cache=None,

@@ -251,7 +251,3 @@ class Automizer:
             return AnalysisResult(program, NONTERMINATING, queries)
 
         return AnalysisResult(program, UNKNOWN, queries)
-
-    def analyze_suite(self, programs):
-        """Analyze a list of programs; returns the result list."""
-        return [self.analyze(program) for program in programs]

@@ -18,25 +18,6 @@ from repro.smtlib import build
 from repro.smtlib.script import Script
 
 
-def _affine_term(constant, coefficients, variables):
-    terms = []
-    if constant:
-        terms.append(build.IntConst(constant))
-    for name, coefficient in coefficients.items():
-        if coefficient == 0:
-            continue
-        variable = variables[name]
-        if coefficient == 1:
-            terms.append(variable)
-        else:
-            terms.append(build.Mul(build.IntConst(coefficient), variable))
-    if not terms:
-        return build.IntConst(0)
-    if len(terms) == 1:
-        return terms[0]
-    return build.Add(*terms)
-
-
 def _guard_assertions(program, state_terms):
     assertions = []
     for guard in program.loop.guards:

@@ -103,6 +103,51 @@ class TestErrors:
         assert main(["solve", str(path)]) == 1
 
 
+#: x^3 + y^3 = 35 with x > 0: sat (x = 2, y = 3), but not within a
+#: zero deadline.
+CUBES = (
+    "(declare-fun x () Int)(declare-fun y () Int)\n"
+    "(assert (= (+ (* x x x) (* y y y)) 35))\n"
+    "(assert (> x 0))\n"
+)
+
+
+class TestDeadlineNeverPoisonsCache:
+    """An outer deadline or cancellation must not store its ``unknown``:
+    the key does not include the outer governor, so a later run without
+    it would replay the ``unknown`` as the answer."""
+
+    def test_cancelled_outer_governor_stores_nothing(self):
+        from repro import guard
+        from repro.cache import SolveCache
+        from repro.smtlib import parse_script
+        from repro.solver import solve_script
+
+        script = parse_script("(set-logic QF_NIA)\n" + CUBES + "(check-sat)\n")
+        cache = SolveCache()
+        outer = guard.ResourceBudget()
+        outer.cancel()
+        with guard.activate(outer):
+            degraded = solve_script(script, budget=200_000, cache=cache)
+        assert degraded.status == "unknown"
+        assert degraded.stats["gave_up_reason"] == "parent"
+        assert len(cache) == 0
+        again = solve_script(script, budget=200_000, cache=cache)
+        assert not again.cached
+        assert again.status == "sat"
+
+    def test_session_deadline_run_then_clean_run(self, tmp_path, capsys):
+        path = tmp_path / "cubes.smt2"
+        path.write_text(
+            "(set-logic QF_NIA)\n(push 1)\n" + CUBES + "(check-sat)\n(pop 1)\n"
+        )
+        cache = str(tmp_path / "dl.json")
+        assert main(["solve", str(path), "--cache", cache, "--deadline", "0"]) == 0
+        assert capsys.readouterr().out.startswith("unknown")
+        assert main(["solve", str(path), "--cache", cache]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "sat"
+
+
 class TestReduce:
     def test_reduce_verified(self, tmp_path, capsys):
         path = tmp_path / "wide.smt2"

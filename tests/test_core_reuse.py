@@ -14,15 +14,19 @@ from collections import OrderedDict
 
 import pytest
 
-from repro import telemetry
+from repro import guard, telemetry
 from repro.benchgen import suite_for
 from repro.bv.solver import BoundedEngine
 from repro.cache import SolveCache, activated, script_digests, set_cache
+from repro.cache.admission import Watch, admit, record
+from repro.cache.store import entry_from_refine_round, entry_from_result
 from repro.cli import main as cli_main
 from repro.core.pipeline import Staub
+from repro.core.refinement import RefinementRound
+from repro.guard import chaos
 from repro.smtlib import build, parse_script
 from repro.smtlib.script import Script
-from repro.solver import solve_script
+from repro.solver import SolveResult, solve_script
 from repro.solver.session import Session, check_scopes
 from repro.termination.automizer import Automizer
 from repro.termination.programs import termination_benchmark_suite
@@ -187,6 +191,75 @@ class TestCoreIndex:
         assert "k" in second
         assert not second.has_cores()
         assert second.quarantined == 1
+
+
+def _solve_entry(status, model=None, **stats):
+    result = SolveResult(status, model, 10, engine="test", stats=stats)
+    return lambda: entry_from_result(result)
+
+
+#: A conflict-capped incremental sub-round: unknown, but replayable.
+_CAPPED_ROUND = RefinementRound("unknown", None, 8, (), False, False, 2, 0, 0)
+
+_CORE = frozenset({"d1", "d2"})
+
+#: (row, status, determined, taint, entry, core, (entry stored, core stored))
+ADMISSION_ROWS = [
+    ("conclusive", "unsat", False, None, _solve_entry("unsat"), _CORE,
+     (True, True)),
+    ("facade-budget-unknown", "unknown", True, None,
+     _solve_entry("unknown", gave_up="solver", gave_up_reason="work"), None,
+     (True, False)),
+    ("capped-refinement-sub-round", "unknown", True, None,
+     lambda: entry_from_refine_round(_CAPPED_ROUND), None, (True, False)),
+    ("session-check-unknown", "unknown", False, None, _solve_entry("unknown"),
+     None, (False, False)),
+    ("chaos-fault", "unsat", False, "chaos", _solve_entry("unsat"), _CORE,
+     (False, False)),
+    ("deadline", "unsat", False, "deadline", _solve_entry("unsat"), _CORE,
+     (False, False)),
+    ("cancelled", "unsat", False, "cancelled", _solve_entry("unsat"), _CORE,
+     (False, False)),
+    ("parent", "unsat", False, "parent", _solve_entry("unsat"), _CORE,
+     (False, False)),
+    ("unencodable-model", "sat", False, None,
+     _solve_entry("sat", model={"x": object()}), None, (False, False)),
+    ("empty-core", "unsat", False, None, _solve_entry("unsat"), frozenset(),
+     (True, False)),
+    ("root-conflict-core", "unsat", False, None, _solve_entry("unsat"), None,
+     (True, False)),
+]
+
+
+class TestAdmissionRule:
+    """The one rule every cache writer applies, one row per reason."""
+
+    @pytest.mark.parametrize(
+        "status, determined, taint, entry, core, stored",
+        [row[1:] for row in ADMISSION_ROWS],
+        ids=[row[0] for row in ADMISSION_ROWS],
+    )
+    def test_row(self, status, determined, taint, entry, core, stored):
+        cache = SolveCache()
+        governor = guard.ResourceBudget()
+        plan = chaos.install(chaos.ChaosPlan(7, 1.0)) if taint == "chaos" else None
+        try:
+            watch = Watch(governor)
+            if plan is not None:
+                plan.draw("solver.pre_solve")
+            elif taint is not None:
+                governor.note_give_up("solver", taint)
+            record(
+                cache, watch, status, "key", entry,
+                determined=determined, core=lambda: core,
+            )
+            admitted = admit(watch, status, entry, determined=determined)
+        finally:
+            if plan is not None:
+                chaos.uninstall()
+        assert ("key" in cache, cache.has_cores()) == stored
+        # The service's workers apply the same rule to their entries.
+        assert (admitted is not None) == stored[0]
 
 
 class TestEvictionKindAttribution:

@@ -18,12 +18,13 @@ import random
 import pytest
 
 from repro.cache import SolveCache, activated
+from repro.core.session import ArbitrageSession
 from repro.errors import SessionError, SmtLibError
 from repro.smtlib import parse_script, parse_term
 from repro.smtlib.evaluator import evaluate_assertions
 from repro.smtlib.sorts import BOOL, INT, bv_sort
-from repro.solver import solve_script
-from repro.solver.session import Session, open_session, run_script_session
+from repro.solver import open_session, solve_script
+from repro.solver.session import Session, run_script_session
 
 # -- trace generation ---------------------------------------------------------
 
@@ -138,35 +139,47 @@ class TestUnboundedFuzz:
 # -- session API --------------------------------------------------------------
 
 
+#: Both session kinds share one scope stack, so its contract is checked
+#: on each.
+both_sessions = pytest.mark.parametrize(
+    "session_class", [Session, ArbitrageSession], ids=lambda cls: cls.__name__
+)
+
+
 class TestSessionApi:
-    def test_pop_below_depth_raises(self):
-        session = Session()
+    @both_sessions
+    def test_pop_below_depth_raises(self, session_class):
+        session = session_class()
         session.push(2)
         with pytest.raises(SessionError, match="below assertion-stack depth"):
             session.pop(3)
         # The failed pop must not have moved the stack.
         assert session.depth == 2
 
-    def test_negative_counts_rejected(self):
-        session = Session()
+    @both_sessions
+    def test_negative_counts_rejected(self, session_class):
+        session = session_class()
         with pytest.raises(SessionError):
             session.push(-1)
         with pytest.raises(SessionError):
             session.pop(-1)
 
-    def test_redeclaration_with_new_sort_rejected(self):
-        session = Session()
+    @both_sessions
+    def test_redeclaration_with_new_sort_rejected(self, session_class):
+        session = session_class()
         session.declare("x", INT)
         with pytest.raises(SmtLibError, match="redeclared"):
             session.declare("x", BOOL)
 
-    def test_non_bool_assertion_rejected(self):
-        session = Session()
+    @both_sessions
+    def test_non_bool_assertion_rejected(self, session_class):
+        session = session_class()
         with pytest.raises(SmtLibError, match="expected Bool"):
             session.assert_term(parse_term("(+ x 1)", {"x": INT}))
 
-    def test_declarations_are_global(self):
-        session = Session()
+    @both_sessions
+    def test_declarations_are_global(self, session_class):
+        session = session_class()
         session.push()
         session.assert_term(parse_term("(bvult v (_ bv9 8))", _BV_DECLS))
         session.pop()
