@@ -6,10 +6,13 @@ core. Statistics and the deterministic work counter flow back out so the
 evaluation harness can measure T_post reproducibly.
 
 Every bounded solve runs on a :class:`BoundedEngine`: blast once, then
-solve under a list of assumption literals. A one-shot solve asserts hard
-clauses and checks once with no assumptions; core extraction checks once
-under one literal per assertion; sessions and width refinement keep one
-engine alive and check it under whatever literals are live.
+solve under a list of assumption literals. A one-shot solve checks once:
+with a solve cache attached it searches under one literal per assertion,
+so an unsat answer carries the core the cache stores (the core falls out
+of the one search, as in Cache-a-lot); uncached, it asserts hard clauses.
+A budget-bound verdict or a sat model may differ between the two.
+Sessions and width refinement keep one engine alive and check it under
+whatever literals are live.
 """
 
 from collections import namedtuple
@@ -30,15 +33,18 @@ class BoundedResult:
         work: deterministic work units spent (SAT search + blast size).
         stats: raw :class:`~repro.sat.solver.SatStats`.
         cnf_vars / cnf_clauses: size of the blasted CNF.
+        core: sorted indices of the assertions in the final conflict of
+            an unsat search under per-assertion literals, else None.
     """
 
-    def __init__(self, status, model, work, stats, cnf_vars, cnf_clauses):
+    def __init__(self, status, model, work, stats, cnf_vars, cnf_clauses, core=None):
         self.status = status
         self.model = model
         self.work = work
         self.stats = stats
         self.cnf_vars = cnf_vars
         self.cnf_clauses = cnf_clauses
+        self.core = core
 
     def stats_dict(self):
         """The uniform counter dict for this solve (telemetry shape)."""
@@ -79,7 +85,7 @@ BoundedCheck = namedtuple(
 class BoundedEngine:
     """A bit-blaster and the SAT solver attached to its arena.
 
-    The CNF only grows. A term asserted with :meth:`assert_hard` is a
+    The CNF only grows. A term blasted hard (see :meth:`blast`) is a
     hard clause; a term's literal passed to :meth:`check` (see
     :meth:`owners`) is a retractable assumption: leaving it out of the
     next check leaves its clauses inert, so learned clauses
@@ -158,16 +164,27 @@ class BoundedEngine:
             owners.setdefault(self.blaster.blast_bool(term), []).append(owner)
         return owners
 
-    def assert_hard(self, assertions, label, **attrs):
-        """Assert terms as hard clauses, billed to a ``blast`` span.
+    def blast(self, assertions, label, assume=False, **attrs):
+        """Blast terms into a fresh engine, billed to a ``blast`` span.
 
-        Meant for a fresh engine: the span and the returned blast work
-        cover every clause in the CNF. ``label`` tags the ``blast.*``
-        counters; ``attrs`` are the span's attributes.
+        Each term becomes hard clauses, or with ``assume`` an assumption
+        literal owned by its index (see :meth:`owners`), so a check under
+        the returned owners reports an assertion-index core. The span and
+        the returned blast work cover every clause in the CNF. ``label``
+        tags the ``blast.*`` counters; ``attrs`` are the span's attributes.
+
+        Returns:
+            ``(blast_work, owners)``; ``owners`` is empty for hard clauses.
         """
+        owners = {}
         with telemetry.span("blast", **attrs) as span:
-            for assertion in assertions:
-                self.blaster.assert_term(assertion)
+            if assume:
+                owners = self.owners(
+                    (term, index) for index, term in enumerate(assertions)
+                )
+            else:
+                for assertion in assertions:
+                    self.blaster.assert_term(assertion)
             blast_work = BLAST_WORK_PER_CLAUSE * self.cnf_clauses
             span.add_work(blast_work)
         if telemetry.enabled:
@@ -180,7 +197,7 @@ class BoundedEngine:
                 prefix="blast",
                 engine=label,
             )
-        return blast_work
+        return blast_work, owners
 
     def _sync(self):
         """Attach the pending clauses in place."""
@@ -253,13 +270,15 @@ class BoundedEngine:
         )
 
 
-def solve_bounded_script(script, max_work=None, max_conflicts=None):
+def solve_bounded_script(script, max_work=None, core=False):
     """Solve a script whose variables are all Bool or bitvector sorted.
 
     Args:
         script: a :class:`~repro.smtlib.script.Script`.
         max_work: deterministic work budget; exhaustion gives ``unknown``.
-        max_conflicts: optional extra conflict cap.
+        core: search under one assumption literal per assertion instead
+            of hard clauses, so an unsat answer carries its core
+            (``BoundedResult.core``); callers with a solve cache pass True.
 
     Returns:
         A :class:`BoundedResult`.
@@ -274,13 +293,11 @@ def solve_bounded_script(script, max_work=None, max_conflicts=None):
         # don't even pay for blasting.
         return BoundedResult("unknown", None, 0, engine.solver.stats, 0, 0)
 
-    blast_work = engine.assert_hard(script.assertions, "bv")
+    blast_work, owners = engine.blast(script.assertions, "bv", assume=core)
     # A one-shot solve attaches outside its search budget.
     engine._sync()
     check = engine.check(
-        {},
-        max_work=None if max_work is None else max_work - blast_work,
-        max_conflicts=max_conflicts,
+        owners, max_work=None if max_work is None else max_work - blast_work
     )
     return BoundedResult(
         check.status,
@@ -289,64 +306,12 @@ def solve_bounded_script(script, max_work=None, max_conflicts=None):
         engine.solver.stats,
         engine.cnf_vars,
         engine.cnf_clauses,
+        None if check.core is None else tuple(sorted(check.core)),
     )
 
 
-def extract_assertion_core(script, max_work=None, max_conflicts=None):
-    """Assertion-level unsat core of a bounded script, or None.
-
-    Re-blasts the script with every top-level assertion tagged by its
-    Tseitin output literal and solves under those literals as SAT
-    *assumptions* (instead of hard unit clauses), then maps the failing
-    assumption subset from :meth:`SatSolver.final_conflict` back to
-    assertion indices. This is a secondary extraction solve: the primary
-    :func:`solve_bounded_script` result is untouched, so verdicts, models
-    and work accounting stay byte-identical with extraction on or off.
-
-    Returns a sorted tuple of assertion indices, or None when the script
-    is not bounded, not unsat within the budget, or the conflict is at
-    root level (dead solver / contradictory definitional clauses) --
-    a root conflict has no attributable assertion subset, and lifting it
-    to an empty core would subsume every future query.
-    """
-    if not script.assertions:
-        return None
-    try:
-        engine = BoundedEngine(script.declarations)
-    except UnsupportedLogicError:
-        return None
-    if guard.active().interrupted("bv"):
-        return None
-    with telemetry.span("core-extract") as span:
-        owners = engine.owners(
-            (assertion, index) for index, assertion in enumerate(script.assertions)
-        )
-        blast_work = BLAST_WORK_PER_CLAUSE * engine.cnf_clauses
-        span.add_work(blast_work)
-        # Attached outside the search budget, as in a one-shot solve.
-        engine._sync()
-        if engine.permanently_unsat:
-            span.set_attr("status", "root-conflict")
-            return None
-        check = engine.check(
-            owners,
-            max_work=None if max_work is None else max_work - blast_work,
-            max_conflicts=max_conflicts,
-        )
-        span.add_work(engine.solver.work())
-        span.set_attr("status", check.status)
-        if check.core is None:
-            if check.status == UNSAT:
-                span.set_attr("status", "root-conflict")
-            return None
-        return tuple(sorted(check.core))
-
-
-def assertion_core_digests(script, max_work=None):
-    """Canonical digest set of the script's assertion-level core, or None."""
-    indices = extract_assertion_core(script, max_work=max_work)
-    if not indices:
-        return None
+def assertion_core_digests(script, indices):
+    """Canonical digest set of the script's assertions at ``indices``."""
     from repro.cache.keys import assertion_digest
 
     return frozenset(assertion_digest(script.assertions[i]) for i in indices)

@@ -295,7 +295,9 @@ class Staub:
 
         watch = Watch(guard.active())
         with telemetry.span("bounded-solve", width=transformed.width) as span:
-            bounded = solve_bounded_script(bounded_script, max_work=remaining)
+            bounded = solve_bounded_script(
+                bounded_script, max_work=remaining, core=store is not None
+            )
             t_post = costs.from_sat(bounded.work)
             span.set_attr("status", bounded.status)
             span.settle(t_post)
@@ -318,7 +320,9 @@ class Staub:
             # (Fig. 6 case 1): revert.
             record(
                 store, watch, "unsat",
-                core=lambda: assertion_core_digests(bounded_script, max_work=remaining),
+                core=lambda: (
+                    bounded.core and assertion_core_digests(bounded_script, bounded.core)
+                ),
                 kind="arbitrage",
             )
             return self._finish(ArbitrageReport(CASE_BOUNDED_UNSAT, **common))

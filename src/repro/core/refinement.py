@@ -752,11 +752,14 @@ class RefinementStaub:
             # and conflict cap alongside the width state: a sub-round's
             # work depends on the learned clauses accumulated before it,
             # so only the exact same point in the exact same schedule may
-            # replay it.
+            # replay it. ``/v2``: the cap counts per call; a sub-round
+            # stored while it counted the solver's lifetime conflicts
+            # must not replay.
             key = refine_round_key(
                 script,
                 dict(widths),
-                f"incremental/g{width}/s{ctx['subrounds']}/c{max_conflicts or 0}",
+                f"incremental/g{width}/s{ctx['subrounds']}"
+                f"/c{max_conflicts or 0}/v2",
                 ceiling,
             )
             entry = store.get(key, kind="refine")
@@ -767,7 +770,7 @@ class RefinementStaub:
             # Lazy: a fully warm replay never pays for blasting at all.
             # The whole ceiling encoding is blasted once, hard.
             ctx["engine"] = BoundedEngine(transformed.script.declarations)
-            ctx["engine"].assert_hard(
+            ctx["engine"].blast(
                 transformed.script.assertions, "bv-incremental", incremental=True
             )
         watch = Watch(guard.active())

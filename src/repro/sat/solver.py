@@ -999,9 +999,9 @@ class SatSolver:
 
         Args:
             assumptions: DIMACS literals temporarily forced true.
-            max_conflicts: optional conflict budget.
-            max_work: optional deterministic work budget (see
-                :meth:`SatStats.work`).
+            max_conflicts: optional conflict budget for this call.
+            max_work: optional deterministic work budget for this call
+                (see :meth:`SatStats.work`).
 
         Returns:
             ``SAT``, ``UNSAT``, or ``UNKNOWN`` (budget exhausted).
@@ -1045,7 +1045,11 @@ class SatSolver:
             self.grow_to((literal >> 1) + 1)
 
         stats = self.stats
+        # Both caps count from the start of this call: the conflict cap
+        # becomes a threshold on the lifetime count.
         base_work = stats.work()
+        if max_conflicts is not None:
+            max_conflicts += stats.conflicts
         restart_index = 0
         conflicts_total = 0
         conflict_limit = luby(restart_index) * 100

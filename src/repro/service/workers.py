@@ -28,8 +28,12 @@ from repro.service import protocol
 __all__ = ["WorkerPool", "run_request"]
 
 
-def run_request(request, governor=None, script=None, cache=None):
+def run_request(request, governor=None, script=None):
     """Execute one solve/arbitrage request.
+
+    The solve runs with no cache attached, inline or pooled: the server
+    owns the store. So both modes run the same bounded search (see
+    :func:`repro.solver.solve_script`).
 
     Args:
         request: a validated :class:`~repro.service.protocol.Request`
@@ -38,8 +42,6 @@ def run_request(request, governor=None, script=None, cache=None):
         governor: the request's governor (inline mode passes the
             tenant-parented grandchild; workers build their own).
         script: the already-parsed script, when the caller has it.
-        cache: a solve cache for the facade to consult (inline mode
-            only; worker processes never touch the shared store).
 
     Returns:
         ``(response_payload, cache_entry)`` -- the JSON-safe response
@@ -75,7 +77,6 @@ def run_request(request, governor=None, script=None, cache=None):
                 budget=request.budget,
                 profile=request.profile,
                 governor=governor,
-                cache=cache,
             )
             payload = protocol.result_response(request, result)
         else:  # arbitrage

@@ -45,6 +45,10 @@ def solve_script(script, budget=None, profile="zorro", cache=None, governor=None
         profile: profile name or :class:`SolverProfile`.
         cache: a :class:`~repro.cache.SolveCache` overriding the
             process-wide active cache (None = use the active one, if any).
+            With a cache, a bounded script is searched under one literal
+            per assertion and an unsat answer stores that search's core;
+            without, as hard clauses. A budget-bound verdict or a sat
+            model may differ between the two.
         governor: a :class:`~repro.guard.ResourceBudget` governing this
             solve (deadline, cancellation, depth/memory ceilings). Built
             from ``budget`` when omitted; an already-active outer
@@ -86,11 +90,13 @@ def solve_script(script, budget=None, profile="zorro", cache=None, governor=None
     with guard.activate(governor):
         chaos.inject("solver.pre_solve", salt=profile.name, governor=governor)
         try:
-            result = _solve_uncached(script, budget, profile)
+            result, core = _solve_uncached(
+                script, budget, profile, core=store is not None
+            )
         except BudgetExceeded as error:
             # Safety net: no engine should leak this, but if one does the
             # caller still gets a structured best-effort unknown.
-            result = _gave_up_result(governor, error, profile)
+            result, core = _gave_up_result(governor, error, profile), None
     if governor.work_limit is not None:
         # Cumulative accounting: a governor reused across solves (e.g. a
         # portfolio race) trips its work ceiling on the next check.
@@ -103,10 +109,7 @@ def solve_script(script, budget=None, profile="zorro", cache=None, governor=None
     record(
         store, watch, result.status, key, lambda: entry_from_result(result),
         determined=True,
-        core=lambda: (
-            assertion_core_digests(script, max_work=budget)
-            if _bounded_logic(script) else None
-        ),
+        core=lambda: core and assertion_core_digests(script, core),
     )
     return result
 
@@ -175,8 +178,12 @@ def _gave_up_result(governor, error, profile):
     return result
 
 
-def _solve_uncached(script, budget, profile):
-    """The engine-dispatch core of :func:`solve_script` (cache miss path)."""
+def _solve_uncached(script, budget, profile, core):
+    """The engine-dispatch core of :func:`solve_script` (cache miss path).
+
+    Returns ``(result, core)``: the bounded solve's assertion-index core
+    when ``core`` is set (see :func:`solve_bounded_script`), else None.
+    """
     if _bounded_logic(script):
         if any(sort.is_fp for sort in script.declarations.values()):
             raise UnsupportedLogicError(
@@ -184,7 +191,7 @@ def _solve_uncached(script, budget, profile):
                 "encoding (see repro.fp.fixedpoint), not directly"
             )
         with telemetry.span("solve", engine="bv", profile=profile.name) as span:
-            bounded = solve_bounded_script(script, max_work=budget)
+            bounded = solve_bounded_script(script, max_work=budget, core=core)
             work = costs.from_sat(bounded.work)
             span.settle(work)
         result = SolveResult(
@@ -195,7 +202,7 @@ def _solve_uncached(script, budget, profile):
             stats=bounded.stats_dict(),
         )
         _record_solve(result, profile.name)
-        return result
+        return result, bounded.core
 
     logic = script.logic or script.infer_logic()
     if logic not in ("QF_LIA", "QF_LRA", "QF_NIA", "QF_NRA"):
@@ -225,7 +232,7 @@ def _solve_uncached(script, budget, profile):
         status, model, work, engine=engine_name, stats=outcome.stats
     )
     _record_solve(result, profile.name)
-    return result
+    return result, None
 
 
 def _record_solve(result, profile_name):

@@ -1,11 +1,12 @@
 """The bounded engine and the soundness of the cores it reports.
 
-One :class:`~repro.bv.solver.BoundedEngine` serves one-shot solving,
-assertion-level core extraction, sessions and width refinement. The
-oracle here is the one-shot solve itself: whatever assertion subset a
-core path reports must be unsat on its own. Sources are bounded
-translations of seeded benchgen instances, termination ranking queries,
-and seeded BV session traces.
+One :class:`~repro.bv.solver.BoundedEngine` serves one-shot solving
+(hard clauses, or per-assertion literals whose unsat answer carries the
+assertion-level core a solve cache stores), sessions and width
+refinement. The oracle here is the uncached one-shot solve: whatever
+assertion subset a core path reports must be unsat on its own. Sources
+are bounded translations of seeded benchgen instances, termination
+ranking queries, and seeded BV session traces.
 """
 
 import functools
@@ -14,17 +15,15 @@ import random
 import pytest
 
 from repro.benchgen import suite_for
-from repro.bv.solver import (
-    BoundedEngine,
-    extract_assertion_core,
-    solve_bounded_script,
-)
-from repro.core.pipeline import Staub
+from repro.bv.solver import BoundedEngine, solve_bounded_script
+from repro.cache import SolveCache, activated
+from repro.core.pipeline import CASE_BOUNDED_UNSAT, Staub
 from repro.errors import TransformError, UnsupportedLogicError
 from repro.sat.solver import SatSolver
 from repro.smtlib import build, parse_term
 from repro.smtlib.script import Script
 from repro.smtlib.sorts import INT, bv_sort
+from repro.solver import solve_script
 from repro.solver.session import Session
 from repro.termination.programs import termination_benchmark_suite
 from repro.termination.ranking import ranking_constraints
@@ -79,12 +78,32 @@ def _ranking_scripts():
     ]
 
 
+def _spy_searches(monkeypatch):
+    """Record ``(max_work, solver work so far)`` for every SAT search."""
+    searches = []
+    solve = SatSolver.solve
+
+    def spy(solver, assumptions=(), max_conflicts=None, max_work=None):
+        searches.append((max_work, solver.work()))
+        return solve(solver, assumptions, max_conflicts, max_work)
+
+    monkeypatch.setattr(SatSolver, "solve", spy)
+    return searches
+
+
+def _core(script, max_work=BUDGET):
+    """The core of the one-shot solve under per-assertion literals."""
+    result = solve_bounded_script(script, max_work=max_work, core=True)
+    assert result.core is None or result.status == "unsat"
+    return result.core
+
+
 class TestCoreSoundness:
     def test_benchgen_cores_are_unsat(self):
         scripts = _benchgen_unsat()
         assert scripts, "the seeded slice has no bounded-unsat instance"
         for script in scripts:
-            indices = extract_assertion_core(script, max_work=BUDGET)
+            indices = _core(script)
             assert indices is not None
             assert list(indices) == sorted(set(indices))
             _assert_core_is_unsat(script, indices)
@@ -94,7 +113,7 @@ class TestCoreSoundness:
         assert scripts, "no ranking query is bounded-unsat"
         proper = 0
         for script in scripts:
-            indices = extract_assertion_core(script, max_work=BUDGET)
+            indices = _core(script)
             assert indices is not None
             _assert_core_is_unsat(script, indices)
             proper += len(indices) < len(script.assertions)
@@ -112,20 +131,30 @@ class TestCoreSoundness:
             declarations=decls,
             assertions=[low, free, high, low, build.Not(build.Not(low))],
         )
-        indices = extract_assertion_core(script)
+        indices = _core(script, max_work=None)
         assert indices == (0, 2, 3, 4)
         _assert_core_is_unsat(script, indices)
+        # Hard clauses carry no assertion literals, hence no core.
+        hard = solve_bounded_script(script)
+        assert hard.status == "unsat" and hard.core is None
 
     def test_sat_and_unbounded_scripts_have_no_core(self):
         decls = {"x": bv_sort(8)}
         sat = Script(declarations=decls, assertions=[parse_term("(bvult x #x05)", decls)])
-        assert extract_assertion_core(sat) is None
+        assert _core(sat) is None
+        assert _core(Script(declarations={}, assertions=[])) is None
+        # An unbounded unsat answer comes from DPLL(T), which reports no
+        # core, so a cached solve stores none.
         unbounded = Script(
             declarations={"n": INT},
-            assertions=[build.Lt(build.IntVar("n"), build.IntConst(0))],
+            assertions=[
+                build.Lt(build.IntVar("n"), build.IntConst(0)),
+                build.Gt(build.IntVar("n"), build.IntConst(0)),
+            ],
         )
-        assert extract_assertion_core(unbounded) is None
-        assert extract_assertion_core(Script(declarations={}, assertions=[])) is None
+        store = SolveCache()
+        assert solve_script(unbounded, budget=BUDGET, cache=store).status == "unsat"
+        assert store.stats()["cores"] == 0
 
     def test_session_last_core_terms_are_unsat(self):
         cores = sum(self._session_trace(seed) for seed in range(12))
@@ -219,23 +248,15 @@ class TestEngine:
         again = engine.check({})
         assert again.root and again.work == 0
 
-    def test_budget_rules(self, monkeypatch):
+    _SQUARE = "(= (bvmul x x) #x31)"
+
+    def test_budget_rules_hard_clauses(self, monkeypatch):
         # Both paths bill attach propagation to their work; only a check
         # that attaches deducts it from its search budget. The one-shot
         # solve attaches first, so its search keeps the whole budget.
-        searches = []
-        solve = SatSolver.solve
-
-        def spy(solver, assumptions=(), max_conflicts=None, max_work=None):
-            searches.append((max_work, solver.work()))
-            return solve(solver, assumptions, max_conflicts, max_work)
-
-        monkeypatch.setattr(SatSolver, "solve", spy)
+        searches = _spy_searches(monkeypatch)
         decls = {"x": bv_sort(8)}
-        script = Script(
-            declarations=decls,
-            assertions=[parse_term("(= (bvmul x x) #x31)", decls)],
-        )
+        script = Script(declarations=decls, assertions=[parse_term(self._SQUARE, decls)])
         result = solve_bounded_script(script, max_work=10_000)
         [(budget, attached)] = searches
         assert attached > 0
@@ -244,7 +265,8 @@ class TestEngine:
 
         searches.clear()
         engine = BoundedEngine(decls)
-        blast = engine.assert_hard(script.assertions, "bv")
+        blast, owners = engine.blast(script.assertions, "bv")
+        assert owners == {}
         assert engine.pending_clauses == blast == result.cnf_clauses
         check = engine.check({}, max_work=10_000 - blast)
         [(budget, attached)] = searches
@@ -255,3 +277,70 @@ class TestEngine:
         assert check.search["propagations"] == (
             engine.solver.stats.propagations - attached
         )
+
+    def test_budget_rules_per_assertion_literals(self, monkeypatch):
+        # The same two rules when every assertion is an assumption
+        # literal: the one-shot solve (core=True) attaches outside its
+        # search budget, a check that attaches deducts it.
+        searches = _spy_searches(monkeypatch)
+        decls = {"x": bv_sort(8)}
+        script = Script(
+            declarations=decls,
+            assertions=[parse_term(self._SQUARE, decls), parse_term("(bvult x #x05)", decls)],
+        )
+        result = solve_bounded_script(script, max_work=10_000, core=True)
+        [(budget, attached)] = searches
+        assert attached > 0
+        assert budget == 10_000 - result.cnf_clauses
+        assert result.work == result.cnf_clauses + result.stats.work()
+        assert result.status == "unsat" and result.core == (0, 1)
+
+        searches.clear()
+        engine = BoundedEngine(decls)
+        blast, owners = engine.blast(script.assertions, "bv", assume=True)
+        assert owners and engine.pending_clauses == blast == result.cnf_clauses
+        check = engine.check(owners, max_work=10_000 - blast)
+        [(budget, attached)] = searches
+        assert budget == 10_000 - blast - attached
+        assert check.status == result.status
+        assert sorted(check.core) == list(result.core)
+        assert check.work == engine.solver.work()
+
+    def test_uncached_one_shot_is_a_hard_clause_check(self):
+        # Without a cache the one-shot solve is exactly a hard-clause
+        # blast + check({}): same status, model and work.
+        decls = {"x": bv_sort(8)}
+        sat = Script(declarations=decls, assertions=[parse_term(self._SQUARE, decls)])
+        scripts = [sat] + _benchgen_unsat()
+        for script in scripts:
+            result = solve_bounded_script(script)
+            engine = BoundedEngine(script.declarations)
+            blast, _ = engine.blast(script.assertions, "bv")
+            check = engine.check({})
+            assert (result.status, result.model) == (check.status, check.model)
+            assert result.work == blast + check.work
+            assert result.core is None
+        assert solve_bounded_script(sat).status == "sat"
+
+
+class TestOneSearch:
+    """A cached bounded-unsat solve runs one search and stores its core."""
+
+    def test_cached_solve_script(self, monkeypatch):
+        script = _bounded(_ranking_scripts()[0])
+        searches = _spy_searches(monkeypatch)
+        store = SolveCache()
+        result = solve_script(script, budget=BUDGET, cache=store)
+        assert result.status == "unsat"
+        assert len(searches) == 1
+        assert store.stats()["cores"] == 1
+
+    def test_cached_staub_run(self, monkeypatch):
+        script = _ranking_scripts()[0]
+        searches = _spy_searches(monkeypatch)
+        store = SolveCache()
+        with activated(store):
+            report = Staub().run(script, budget=BUDGET)
+        assert report.case == CASE_BOUNDED_UNSAT
+        assert len(searches) == 1
+        assert store.stats()["cores"] == 1

@@ -7,7 +7,7 @@ across re-solves, and the permanent root-UNSAT state. These tests pin
 them down directly at the SAT layer.
 """
 
-from repro.sat.solver import SAT, UNSAT, SatSolver
+from repro.sat.solver import SAT, UNKNOWN, UNSAT, SatSolver
 
 
 def _exactly_one(solver, literals):
@@ -173,3 +173,15 @@ class TestLearnedClauseRetention:
         # but this instance is far below the reduction threshold).
         assert solver.learned_count() >= learned
         assert solver.stats.work() > before  # stats accumulate, not reset
+
+    def test_conflict_cap_counts_per_call(self):
+        # Regression: the cap was compared with the solver's lifetime
+        # conflict count, so once one capped call had spent it every
+        # later capped call stopped at its first conflict.
+        solver, _ = self._pigeonhole(6)
+        spent = []
+        for _ in range(4):
+            before = solver.stats.conflicts
+            assert solver.solve(max_conflicts=8) == UNKNOWN
+            spent.append(solver.stats.conflicts - before)
+        assert spent == [8, 8, 8, 8]
