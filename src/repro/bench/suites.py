@@ -11,11 +11,11 @@ wall-clock section.
 Suites:
 
 - ``smoke``: a handful of fast cases covering every engine family
-  (bounded BV, LIA simplex, NIA interval/bit-blast, incremental
-  refinement). Small enough for CI to run twice per push.
+  (bounded BV, LIA simplex, NIA interval/bit-blast, width refinement).
+  Small enough for CI to run twice per push.
 - ``qf_nia``: the QF_NIA refinement set -- seeded NIA instances run
-  through the incremental width-refinement engine (the workload the
-  ROADMAP's SAT-core overhaul is measured on).
+  through the width-refinement loop (the workload the ROADMAP's
+  SAT-core overhaul is measured on).
 - ``benchgen``: a seeded slice of all four generator logics through the
   solve facade, both unbounded profiles on NIA.
 - ``termination``: termination-prover programs through the Automizer
@@ -69,18 +69,15 @@ def _solve_case(name, script, profile="zorro", budget=BENCH_BUDGET):
     return BenchCase(name, "solve", run)
 
 
-def _refine_case(name, script, incremental=True, budget=BENCH_BUDGET):
+def _refine_case(name, script, budget=BENCH_BUDGET):
     from repro.solver import refine_script
 
     def run(cache):
-        report = refine_script(
-            script, budget=budget, incremental=incremental, cache=cache
-        )
+        report = refine_script(script, budget=budget, cache=cache)
         return {
             "verdict": report.case,
             "work": report.total_work,
             "rounds": len(report.rounds),
-            "subrounds": report.subrounds,
             "cache_hits": report.cache_hits,
         }
 
@@ -164,9 +161,7 @@ def _smoke():
 def _qf_nia():
     cases = []
     for benchmark in suite_for("QF_NIA", seed=2024, scale=0.15):
-        cases.append(
-            _refine_case(f"refine/{benchmark.name}", benchmark.script, incremental=True)
-        )
+        cases.append(_refine_case(f"refine/{benchmark.name}", benchmark.script))
     return cases
 
 

@@ -76,12 +76,11 @@ class BitBlaster:
         self._and_cache = {}
         self._or_cache = {}
         self._xor_cache = {}
-        self._trunc_cache = {}
         # Gate-cache entry -> (first, last) clause *indices* of the block
         # emitted for it. Indices (not arena offsets) survive arena
         # compaction without remapping; resolve offsets on demand via
         # ``cnf.clause_ref``. This is what makes the structure sharing
-        # observable: a refinement round whose gates all hit the caches
+        # observable: a session check whose gates all hit the caches
         # allocates zero new blocks.
         self._block_spans = {}
         self.stats = BlastStats()
@@ -647,60 +646,12 @@ class BitBlaster:
         """Gate-cache entry -> ``(first, last)`` clause-index span.
 
         Each entry names the contiguous block of CNF clauses emitted when
-        the gate (or truncation ladder) was first blasted; later cache
-        hits reuse the block instead of re-emitting it. Spans are clause
-        *indices* into ``self.cnf``, so they stay valid across arena
-        compaction; map to live arena offsets with
-        ``self.cnf.clause_ref(i)``.
+        the gate was first blasted; later cache hits reuse the block
+        instead of re-emitting it. Spans are clause *indices* into
+        ``self.cnf``, so they stay valid across arena compaction; map to
+        live arena offsets with ``self.cnf.clause_ref(i)``.
         """
         return dict(self._block_spans)
-
-    def truncation_assumption(self, name, width):
-        """An assumption literal that sign-truncates a variable to ``width``.
-
-        The width-``w`` encoding of a variable is the low-``w``-bit slice
-        of its full-width encoding; this returns a fresh literal ``a``
-        with ``a -> (bit_i == bit_{w-1})`` for every high bit ``i >= w``,
-        so assuming ``a`` restricts the variable to the signed range of
-        ``width`` bits without adding any hard constraint. Retracting the
-        assumption (just not passing it to the next solve call) restores
-        the full width; no clause ever has to be deleted.
-
-        Allocated once per ``(name, width)`` -- repeated rounds at the
-        same width reuse the same literal and clauses. Returns None when
-        the variable has no encoding or already fits (``width`` covers
-        its declared width): assuming nothing is the correct semantics.
-        """
-        bits = self._var_bits.get(name)
-        if bits is None:
-            return None
-        return self.slice_assumption(bits, width)
-
-    def slice_assumption(self, bits, width):
-        """Like :meth:`truncation_assumption` but over a raw literal row.
-
-        Used for *term* rows too (e.g. the tracked arithmetic results of
-        a transform), where "fits ``width`` bits signed" is exactly the
-        no-overflow-at-``width`` guard of a width-``width`` encoding.
-        Cached per ``(bits, width)``.
-        """
-        if width >= len(bits) or width < 1:
-            return None
-        key = (tuple(bits), width)
-        literal = self._trunc_cache.get(key)
-        if literal is None:
-            literal = self.cnf.new_var()
-            start = len(self.cnf)
-            sign = bits[width - 1]
-            for high in bits[width:]:
-                self.cnf.add_clause([-literal, -high, sign])
-                self.cnf.add_clause([-literal, high, -sign])
-            self._trunc_cache[key] = literal
-            self._block_spans[("trunc", key)] = (start, len(self.cnf))
-        elif telemetry.enabled:
-            span = self._block_spans[("trunc", key)]
-            self.stats.block_reuse += span[1] - span[0]
-        return literal
 
     def extract_value(self, name, sort, sat_model):
         """Reconstruct a variable's value from a SAT model."""

@@ -11,8 +11,8 @@ with a solve cache attached it searches under one literal per assertion,
 so an unsat answer carries the core the cache stores (the core falls out
 of the one search, as in Cache-a-lot); uncached, it asserts hard clauses.
 A budget-bound verdict or a sat model may differ between the two.
-Sessions and width refinement keep one engine alive and check it under
-whatever literals are live.
+Sessions keep one engine alive and check it under whatever literals are
+live.
 """
 
 from collections import namedtuple
@@ -208,7 +208,7 @@ class BoundedEngine:
         if self.solver.num_vars < cnf.num_vars:
             self.solver.grow_to(cnf.num_vars)
 
-    def check(self, owners, max_work=None, max_conflicts=None):
+    def check(self, owners, max_work=None):
         """Solve under the assumption literals that key ``owners``.
 
         Args:
@@ -219,7 +219,6 @@ class BoundedEngine:
                 this check is deducted from it first; a caller that
                 attaches with :meth:`_sync` beforehand keeps attaching
                 outside its budget.
-            max_conflicts: optional conflict cap.
 
         Returns:
             A :data:`BoundedCheck`.
@@ -235,11 +234,7 @@ class BoundedEngine:
             sat_budget = None
             if max_work is not None:
                 sat_budget = max(0, max_work - (solver.work() - base_work))
-            status = solver.solve(
-                assumptions=list(owners),
-                max_work=sat_budget,
-                max_conflicts=max_conflicts,
-            )
+            status = solver.solve(assumptions=list(owners), max_work=sat_budget)
             if status == UNSAT:
                 # final_conflict() holds the negations of the failing
                 # assumption literals; it is empty when the search hit a

@@ -15,8 +15,7 @@ Every in-process cache writer therefore goes through :func:`record`
   conclusive, or when it is an ``unknown`` that its key fully
   determines. Only the caller knows the latter (it is a property of the
   caller's key, not of the cache): the facade's own-budget ``unknown``
-  is keyed by that budget, and incremental refinement's conflict-capped
-  sub-round by its position in the schedule.
+  is keyed by that budget.
 - **Cores.** A core is stored only from an untainted ``unsat``, and only
   when it is non-empty (an empty core would subsume every query) and not
   from a root conflict (``None``: no assertion subset is attributable).

@@ -158,30 +158,26 @@ def cache_key(script, profile=None, budget=None, kind="solve", extra=None):
     return digest.hexdigest()
 
 
-def refine_round_key(script, widths, mode, max_width):
+def refine_round_key(script, width):
     """Key for one width-refinement round of ``script``.
 
-    Rounds are keyed on the *original* (unbounded) script plus the exact
-    width state the round solved at -- a scalar for the scratch loop, a
-    per-variable mapping for the incremental engine -- so a warm
-    refinement replay hits round by round. Budgets are deliberately not
-    part of the key: the admission rule (:mod:`repro.cache.admission`)
-    stores only rounds that do not depend on how much budget was left.
+    Rounds are keyed on the *original* (unbounded) script plus the width
+    the round solved at, so a warm refinement replay hits round by round.
+    Budgets are deliberately not part of the key: the admission rule
+    (:mod:`repro.cache.admission`) stores only rounds that do not depend
+    on how much budget was left.
+
+    The constant ``mode`` and ``max_width`` fields keep the digest equal
+    to the one earlier versions computed for the same round, so round
+    caches they wrote still replay.
 
     Args:
         script: the original script the refinement loop runs on.
-        widths: an int (scratch round) or a name -> width mapping
-            (incremental round).
-        mode: ``"scratch"`` or ``"incremental"``.
-        max_width: the loop's width ceiling (part of the incremental
-            encoding, so it discriminates).
+        width: the pinned round width, or ``"absint"`` for the inferred
+            first round.
     """
-    if isinstance(widths, dict):
-        state = ",".join(f"{name}:{widths[name]}" for name in sorted(widths))
-    else:
-        state = str(widths)
     return cache_key(
         script,
         kind="refine-round",
-        extra={"mode": mode, "widths": state, "max_width": max_width},
+        extra={"mode": "scratch", "widths": str(width), "max_width": None},
     )

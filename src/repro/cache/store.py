@@ -145,50 +145,10 @@ def result_from_entry(entry):
     )
 
 
-def entry_from_refine_round(round_result):
-    """Serialize one incremental :class:`RefinementRound` for the cache.
-
-    Which rounds are stored is the admission rule's decision
-    (:mod:`repro.cache.admission`). The core rides along because the *next* round's widths are computed
-    from it -- a warm replay must widen exactly like the cold run did.
-    """
-    return {
-        "kind": "refine-round",
-        "mode": "incremental",
-        "status": round_result.status,
-        "work": round_result.work,
-        "core": list(round_result.core),
-        "guard_core": round_result.guard_core,
-        "root_conflict": round_result.root_conflict,
-        "assumed": round_result.assumed,
-        "reused": round_result.reused_clauses,
-        "new_clauses": round_result.new_clauses,
-        "model": encode_model(round_result.model),
-    }
-
-
-def refine_round_from_entry(entry):
-    """Rehydrate an incremental round record from a cache entry."""
-    from repro.core.refinement import RefinementRound
-
-    return RefinementRound(
-        entry["status"],
-        decode_model(entry.get("model")),
-        entry.get("work", 0),
-        tuple(entry.get("core") or ()),
-        bool(entry.get("guard_core")),
-        bool(entry.get("root_conflict")),
-        entry.get("assumed", 0),
-        entry.get("reused", 0),
-        entry.get("new_clauses", 0),
-    )
-
-
 def entry_from_report(report):
-    """Serialize a scratch-round :class:`ArbitrageReport` for the cache."""
+    """Serialize a refinement round's :class:`ArbitrageReport` for the cache."""
     return {
         "kind": "refine-round",
-        "mode": "scratch",
         "case": report.case,
         "t_trans": report.t_trans,
         "t_post": report.t_post,
@@ -200,7 +160,7 @@ def entry_from_report(report):
 
 
 def report_from_entry(entry):
-    """Rehydrate a scratch-round :class:`ArbitrageReport`.
+    """Rehydrate a refinement round's :class:`ArbitrageReport`.
 
     The inference and fixed-point shape are not persisted; a rehydrated
     report carries the verdict, model, and cost split -- everything the

@@ -11,10 +11,9 @@ Mirrors the paper's tool surface:
   persistent session and print one verdict line per ``check-sat``.
 - ``staub arbitrage FILE``: run the full underapproximate-then-verify
   pipeline and report the Fig. 6 case, stage costs, and the model.
-  ``--refine`` widens and retries on bounded-unsat;
-  ``--refine-incremental`` does so on one persistent SAT session with
-  core-guided widening (``--growth``, ``--max-width``, ``--max-rounds``
-  shape the schedule, ``--width`` pins the first round).
+  ``--refine`` widens and retries on bounded-unsat (``--growth``,
+  ``--max-width``, ``--max-rounds`` shape the schedule, ``--width`` pins
+  the first round, ``--cache`` persists the rounds).
 - ``staub analyze FILE``: bound inference only (widths report).
 - ``staub optimize FILE``: apply the SLOT-style passes to a bounded
   constraint and print the result.
@@ -243,8 +242,12 @@ def _cmd_serve(args):
 
 
 def _cmd_arbitrage(args):
+    if args.cache and not args.refine:
+        print("staub: error: --cache caches refinement rounds; it needs --refine",
+              file=sys.stderr)
+        return 2
     script = _read_script(args.file)
-    if args.refine or args.refine_incremental:
+    if args.refine:
         return _run_refinement(script, args)
     staub = Staub(width_strategy=args.width if args.width else "absint")
     report = staub.run(script, budget=args.budget)
@@ -271,22 +274,16 @@ def _run_refinement(script, args):
     report = refine_script(
         script,
         budget=args.budget,
-        incremental=args.refine_incremental,
         growth_factor=args.growth,
         max_rounds=args.max_rounds,
         max_width=args.max_width,
         initial_width=args.width if args.width else None,
-        headroom=args.headroom,
         cache=cache,
     )
     print(f"case: {report.case}")
     schedule = ", ".join(f"{width}:{case}" for width, case in report.rounds)
-    print(f"mode: {report.mode}  rounds: [{schedule}]")
-    print(
-        f"total work: {report.total_work}  cache hits: {report.cache_hits}  "
-        f"clauses reused: {report.clauses_reused}  "
-        f"core vars widened: {report.core_widened}"
-    )
+    print(f"rounds: [{schedule}]")
+    print(f"total work: {report.total_work}  cache hits: {report.cache_hits}")
     if report.budget_exhausted:
         print("budget exhausted: refinement stopped with rounds pending")
     if report.model is not None:
@@ -604,14 +601,7 @@ def build_parser():
     arbitrage.add_argument(
         "--refine",
         action="store_true",
-        help="widen and retry on bounded-unsat (scratch re-encoding)",
-    )
-    arbitrage.add_argument(
-        "--refine-incremental",
-        action="store_true",
-        help="width refinement on one persistent SAT session: learned "
-        "clauses survive widening and unsat cores pick which variables "
-        "grow",
+        help="widen and retry on bounded-unsat",
     )
     arbitrage.add_argument(
         "--growth",
@@ -635,19 +625,10 @@ def build_parser():
         help="maximum refinement rounds (default 3)",
     )
     arbitrage.add_argument(
-        "--headroom",
-        type=int,
-        default=0,
-        metavar="STEPS",
-        help="incremental refinement: encode this many growth steps "
-        "wider than each round so consecutive rounds share one encoding "
-        "(default 0: encode at exactly the round width)",
-    )
-    arbitrage.add_argument(
         "--cache",
         default=None,
         metavar="FILE.json",
-        help="persistent per-round refinement cache (refine modes only)",
+        help="persistent per-round refinement cache (needs --refine)",
     )
     _add_chaos_flag(arbitrage)
     _add_telemetry_flags(arbitrage)

@@ -118,9 +118,8 @@ def choose_int_width(inference, width_strategy="absint", max_int_width=MAX_INT_W
 def check_candidate(script, transformed, bounded_model):
     """Stage 5: back-map a bounded model and verify it exactly.
 
-    Shared by :meth:`Staub.run` and the incremental refinement engine
-    (:mod:`repro.core.refinement`), so every round's sat answer goes
-    through the identical underapproximation contract.
+    Every sat answer of :meth:`Staub.run` -- each refinement round's
+    included -- goes through this one underapproximation contract.
 
     Returns:
         ``(case, model, t_check)`` -- :data:`CASE_VERIFIED_SAT` with the

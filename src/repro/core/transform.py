@@ -45,11 +45,6 @@ class TransformResult:
         inexact_constants: True when some real constant had to be rounded
             to the fixed-point grid (a semantic difference risk).
         correspondence: the :class:`SortCorrespondence` used.
-        tracked: arithmetic result terms of the bounded script (int case
-            only). A width-``w`` round of the incremental refinement
-            engine assumes each of these fits ``w`` bits, which -- given
-            the hard full-width guards -- is exactly the width-``w``
-            overflow-guard semantics of a scratch transform at ``w``.
     """
 
     def __init__(
@@ -61,7 +56,6 @@ class TransformResult:
         guards,
         inexact_constants,
         correspondence,
-        tracked=(),
     ):
         self.script = script
         self.theory = theory
@@ -70,7 +64,6 @@ class TransformResult:
         self.guards = guards
         self.inexact_constants = inexact_constants
         self.correspondence = correspondence
-        self.tracked = tracked
 
     def back_map(self, bounded_model):
         """Convert a bounded model into an unbounded candidate assignment."""
@@ -100,15 +93,6 @@ class _IntTransformer:
         self.sort_width = width
         self.guards = []
         self._guarded = set()
-        self.tracked = []
-        self._tracked_ids = set()
-
-    def _track(self, term):
-        """Record an arithmetic result for width-sliced refinement guards."""
-        if term.tid not in self._tracked_ids:
-            self._tracked_ids.add(term.tid)
-            self.tracked.append(term)
-        return term
 
     def _guard(self, op, operands):
         guard_pred = INT_OVERFLOW_GUARDS.get(op)
@@ -127,7 +111,7 @@ class _IntTransformer:
         result = mapped_args[0]
         for arg in mapped_args[1:]:
             self._guard(op, (result, arg))
-            result = self._track(build.bv_binary(op, result, arg))
+            result = build.bv_binary(op, result, arg)
         return result
 
     def transform_node(self, term, new_args):
@@ -153,10 +137,10 @@ class _IntTransformer:
             return self._fold(mapped, new_args)
         if op is Op.NEG:
             self._guard(Op.BVNEG, (new_args[0],))
-            return self._track(build.BVNeg(new_args[0]))
+            return build.BVNeg(new_args[0])
         if op is Op.ABS:
             self._guard(Op.BVABS, (new_args[0],))
-            return self._track(build.BVAbs(new_args[0]))
+            return build.BVAbs(new_args[0])
         if op is Op.IDIV or op is Op.MOD:
             dividend, divisor = new_args
             # Euclidean div/mod agree with bvsdiv/bvsmod exactly on the
@@ -167,8 +151,8 @@ class _IntTransformer:
             self.guards.append(build.bv_compare(Op.BVSGT, divisor, zero))
             if op is Op.IDIV:
                 self._guard(Op.BVSDIV, (dividend, divisor))
-                return self._track(build.bv_binary(Op.BVSDIV, dividend, divisor))
-            return self._track(build.bv_binary(Op.BVSMOD, dividend, divisor))
+                return build.bv_binary(Op.BVSDIV, dividend, divisor)
+            return build.bv_binary(Op.BVSMOD, dividend, divisor)
         if op is Op.EQ:
             return build.Eq(new_args[0], new_args[1])
         if op is Op.DISTINCT:
@@ -363,5 +347,4 @@ def transform_script(script, theory, width=None, shape=None):
         len(transformer.guards),
         getattr(transformer, "inexact_constants", False),
         correspondence,
-        tracked=tuple(getattr(transformer, "tracked", ())),
     )

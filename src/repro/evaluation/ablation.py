@@ -12,8 +12,8 @@ from repro.evaluation.runner import ExperimentCache, LOGICS, SOLVER_PROFILES
 from repro.evaluation.stats import geometric_mean
 
 #: Loop parameters for the refinement ablation. The deliberately narrow
-#: starting width forces multi-round runs on most of the NIA suite, which
-#: is the regime the incremental engine exists for.
+#: starting width forces multi-round runs on most of the NIA suite, the
+#: regime where every retry's bounded-solver cost shows.
 REFINEMENT_CONFIG = dict(
     initial_width=4, growth_factor=2, max_width=16, max_rounds=6
 )
@@ -63,85 +63,52 @@ def strategy_comparison(cache=None, logics=LOGICS):
     return comparison
 
 
-def refinement_comparison(cache=None, logic=REFINEMENT_LOGIC):
-    """Incremental vs scratch width refinement over one suite.
+def refinement_rows(cache=None, logic=REFINEMENT_LOGIC):
+    """Width refinement over one suite, one row per instance.
 
-    Both engines run the identical widening schedule
-    (:data:`REFINEMENT_CONFIG`); core-guided widening inside the
-    incremental engine is deterministic (the CDCL core and its
-    final-conflict extraction are), so the row set is reproducible
-    byte-for-byte across machines. Per-round results land in
-    ``cache.solve_cache`` when one is attached, so a warm rerun replays
-    without touching a solver.
+    Every instance runs the same widening schedule
+    (:data:`REFINEMENT_CONFIG`) on the deterministic virtual clock, so
+    the row set is reproducible byte-for-byte across machines. Per-round
+    results land in ``cache.solve_cache`` when one is attached, so a
+    warm rerun replays without touching a solver.
     """
     cache = cache or ExperimentCache()
+    loop = RefinementStaub(cache=cache.solve_cache, **REFINEMENT_CONFIG)
     rows = []
     for benchmark in cache.suite(logic):
-        row = {"name": benchmark.name}
-        for mode, incremental in (("scratch", False), ("incremental", True)):
-            loop = RefinementStaub(
-                incremental=incremental,
-                cache=cache.solve_cache,
-                **REFINEMENT_CONFIG,
-            )
-            report = loop.run(benchmark.script, budget=cache.timeout)
-            row[mode] = {
+        report = loop.run(benchmark.script, budget=cache.timeout)
+        rows.append(
+            {
+                "name": benchmark.name,
                 "case": report.case,
                 "rounds": [[width, case] for width, case in report.rounds],
                 "total_work": report.total_work,
                 "cache_hits": report.cache_hits,
-                "clauses_reused": report.clauses_reused,
-                "core_widened": report.core_widened,
-                "subrounds": report.subrounds,
             }
-        rows.append(row)
+        )
     return rows
-
-
-def _verdict(row, mode):
-    """The mode's verdict string: the final case plus every round's
-    (width, case) pair. Two modes agree exactly when these match."""
-    data = row[mode]
-    rounds = ",".join(f"{width}:{case}" for width, case in data["rounds"])
-    return f"{data['case']} rounds={rounds}"
 
 
 def render_refinement(cache=None, logic=REFINEMENT_LOGIC):
     """Render the refinement ablation.
 
-    ``verdict`` lines carry only verdict-relevant fields (they must be
-    stable across cache warmth and chaos injection -- CI diffs exactly
-    these); ``work`` lines carry the cost comparison.
+    ``verdict`` lines carry the final case plus every round's
+    (width, case) pair -- the fields that must be stable across cache
+    warmth and chaos injection (CI diffs exactly these); ``work`` lines
+    carry each instance's billed work.
     """
-    rows = refinement_comparison(cache, logic)
+    rows = refinement_rows(cache, logic)
     config = " ".join(f"{k}={v}" for k, v in sorted(REFINEMENT_CONFIG.items()))
-    lines = [
-        f"Refinement ablation: incremental vs scratch ({logic})",
-        f"config: {config}",
-        "",
-    ]
-    multi = reduced = reuse_hits = 0
+    lines = [f"Refinement ablation ({logic})", f"config: {config}", ""]
     for row in rows:
-        for mode in ("scratch", "incremental"):
-            lines.append(f"verdict {row['name']} {mode} {_verdict(row, mode)}")
-        scratch, incremental = row["scratch"], row["incremental"]
-        lines.append(
-            f"work {row['name']} scratch={scratch['total_work']} "
-            f"incremental={incremental['total_work']} "
-            f"reused={incremental['clauses_reused']} "
-            f"widened={incremental['core_widened']} "
-            f"subrounds={incremental['subrounds']}"
-        )
-        if len(scratch["rounds"]) >= 2:
-            multi += 1
-            if incremental["total_work"] < scratch["total_work"]:
-                reduced += 1
-            if incremental["clauses_reused"]:
-                reuse_hits += 1
+        rounds = ",".join(f"{width}:{case}" for width, case in row["rounds"])
+        lines.append(f"verdict {row['name']} {row['case']} rounds={rounds}")
+        lines.append(f"work {row['name']} total={row['total_work']}")
+    multi = sum(1 for row in rows if len(row["rounds"]) >= 2)
+    total = sum(row["total_work"] for row in rows)
     lines.append("")
     lines.append(
-        f"summary instances={len(rows)} multi_round={multi} "
-        f"reduced_on_multi_round={reduced} reuse_on_multi_round={reuse_hits}"
+        f"summary instances={len(rows)} multi_round={multi} total_work={total}"
     )
     return "\n".join(lines)
 

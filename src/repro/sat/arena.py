@@ -21,7 +21,7 @@ Literals use the solver-internal encoding throughout: DIMACS literal
 The arena is the unit of *structure sharing*: the bit-blaster emits gate
 clause blocks into its CNF's arena exactly once, and a solver attached to
 that CNF watches the blocks in place -- no per-clause tuple or list
-objects exist anywhere on the hot path, and repeated refinement rounds
+objects exist anywhere on the hot path, and repeated session checks
 whose gate-cache entries hit reuse the recorded block offsets instead of
 re-allocating the clauses. Deleted learned clauses are flagged dead and
 their space reclaimed by :meth:`compact`, which returns an old-to-new

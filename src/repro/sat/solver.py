@@ -1008,12 +1008,12 @@ class SatSolver:
         """
         if not self._ok:
             # Permanent root UNSAT: the hard clauses are contradictory, so
-            # any assumption set (a session scope after a pop, a narrower
-            # refinement round) is UNSAT too. Answer without touching the
-            # search state or stats -- re-solving would spend work and,
-            # with telemetry on, pollute the trail/level peak series with
-            # zero-length runs -- and clear the assumption core so callers
-            # read this as root-level, not assumption-driven.
+            # any assumption set (a session scope after a pop) is UNSAT
+            # too. Answer without touching the search state or stats --
+            # re-solving would spend work and, with telemetry on, pollute
+            # the trail/level peak series with zero-length runs -- and
+            # clear the assumption core so callers read this as
+            # root-level, not assumption-driven.
             self._final_conflict = []
             return UNSAT
         if not telemetry.enabled:

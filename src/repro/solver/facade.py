@@ -117,12 +117,10 @@ def solve_script(script, budget=None, profile="zorro", cache=None, governor=None
 def refine_script(
     script,
     budget=None,
-    incremental=False,
     growth_factor=2,
     max_rounds=3,
     max_width=24,
     initial_width=None,
-    headroom=0,
     cache=None,
 ):
     """Solve with width refinement: widen and retry on bounded-unsat.
@@ -143,8 +141,6 @@ def refine_script(
         max_rounds=max_rounds,
         max_width=max_width,
         initial_width=initial_width,
-        incremental=incremental,
-        headroom=headroom,
         cache=cache,
     )
     return loop.run(script, budget=budget)

@@ -71,6 +71,36 @@ class TestArbitrage:
         assert "case: bounded-unsat" in out
         assert "reverting" in out
 
+    def test_cache_without_refine_is_a_usage_error(self, nia_file, tmp_path, capsys):
+        # --cache stores refinement rounds; without --refine it would be
+        # silently ignored, so it is refused before any solving.
+        cache = tmp_path / "c.json"
+        assert main(["arbitrage", nia_file, "--cache", str(cache)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("staub: error: ")
+        assert "--refine" in captured.err
+        assert not cache.exists()
+
+    def test_refine_cache_replays_rounds(self, tmp_path, capsys):
+        path = tmp_path / "unsat.smt2"
+        path.write_text(
+            "(declare-fun x () Int)(assert (> x 3))(assert (= (* x x) 4))(check-sat)"
+        )
+        cache = tmp_path / "c.json"
+        argv = ["arbitrage", str(path), "--refine", "--cache", str(cache)]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert cache.exists()
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        assert "case: bounded-unsat" in cold
+        assert "rounds: [10:bounded-unsat, 20:bounded-unsat, 24:bounded-unsat]" in cold
+        assert "cache hits: 0" in cold
+        assert "cache hits: 3" in warm
+        assert cold.replace("cache hits: 0", "cache hits: 3") == warm
+
 
 class TestAnalyze:
     def test_analyze_report(self, nia_file, capsys):

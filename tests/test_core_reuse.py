@@ -19,10 +19,9 @@ from repro.benchgen import suite_for
 from repro.bv.solver import BoundedEngine
 from repro.cache import SolveCache, activated, script_digests, set_cache
 from repro.cache.admission import Watch, admit, record
-from repro.cache.store import entry_from_refine_round, entry_from_result
+from repro.cache.store import entry_from_result
 from repro.cli import main as cli_main
 from repro.core.pipeline import Staub
-from repro.core.refinement import RefinementRound
 from repro.guard import chaos
 from repro.smtlib import build, parse_script
 from repro.smtlib.script import Script
@@ -198,9 +197,6 @@ def _solve_entry(status, model=None, **stats):
     return lambda: entry_from_result(result)
 
 
-#: A conflict-capped incremental sub-round: unknown, but replayable.
-_CAPPED_ROUND = RefinementRound("unknown", None, 8, (), False, False, 2, 0, 0)
-
 _CORE = frozenset({"d1", "d2"})
 
 #: (row, status, determined, taint, entry, core, (entry stored, core stored))
@@ -210,8 +206,6 @@ ADMISSION_ROWS = [
     ("facade-budget-unknown", "unknown", True, None,
      _solve_entry("unknown", gave_up="solver", gave_up_reason="work"), None,
      (True, False)),
-    ("capped-refinement-sub-round", "unknown", True, None,
-     lambda: entry_from_refine_round(_CAPPED_ROUND), None, (True, False)),
     ("session-check-unknown", "unknown", False, None, _solve_entry("unknown"),
      None, (False, False)),
     ("chaos-fault", "unsat", False, "chaos", _solve_entry("unsat"), _CORE,

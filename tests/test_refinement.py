@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro import telemetry
 from repro.cache import SolveCache
+from repro.cache.keys import refine_round_key
 from repro.core.pipeline import (
     CASE_BOUNDED_UNKNOWN,
     CASE_BOUNDED_UNSAT,
@@ -11,6 +13,7 @@ from repro.core.pipeline import (
 from repro.core.refinement import RefinementStaub
 from repro.smtlib import parse_script
 from repro.smtlib.evaluator import evaluate_assertions
+from repro.telemetry.profile import aggregate, load_trace
 
 
 class TestRefinement:
@@ -88,8 +91,8 @@ class TestConstruction:
         dict(growth_factor=0.5),
         dict(max_rounds=0),
         dict(max_width=0),
-        dict(headroom=-1),
-        dict(headroom=1.5),
+        dict(max_rounds=2.5),
+        dict(max_width="8"),
     ])
     def test_rejects_bad_loop_parameters(self, kwargs):
         with pytest.raises(ValueError):
@@ -111,13 +114,12 @@ class TestBudgetRegression:
 
     UNSAT = "(declare-fun x () Int)(assert (> x 5))(assert (< x 3))"
 
-    @pytest.mark.parametrize("incremental", [False, True])
-    def test_tiny_budget_runs_exactly_one_round(self, incremental):
+    def test_tiny_budget_runs_exactly_one_round(self):
         script = parse_script(self.UNSAT)
         budget = 10  # at most one round's transform cost
-        report = RefinementStaub(
-            initial_width=3, max_rounds=5, incremental=incremental
-        ).run(script, budget=budget)
+        report = RefinementStaub(initial_width=3, max_rounds=5).run(
+            script, budget=budget
+        )
         assert len(report.rounds) == 1
         assert report.budget_exhausted
         assert report.case == CASE_BOUNDED_UNKNOWN
@@ -126,15 +128,14 @@ class TestBudgetRegression:
         last_round_work = 2 * script.size() + report.final.total_work
         assert report.total_work <= budget + last_round_work
 
-    @pytest.mark.parametrize("incremental", [False, True])
-    def test_exhaustion_between_rounds_sets_flag(self, incremental):
+    def test_exhaustion_between_rounds_sets_flag(self):
         # Warm cache, then a budget the cached first round alone fills:
         # the loop must stop before round two with the structured
         # unknown, not spin the remaining schedule on a floor-clamped
         # budget.
         script = parse_script(self.UNSAT)
         cache = SolveCache()
-        cfg = dict(initial_width=4, max_rounds=4, incremental=incremental)
+        cfg = dict(initial_width=4, max_rounds=4)
         cold = RefinementStaub(cache=cache, **cfg).run(script, budget=1_200_000)
         assert len(cold.rounds) >= 2
         first_round_work = cold.total_work  # upper bound on round one
@@ -151,77 +152,30 @@ class TestBudgetRegression:
             "(declare-fun x () Int)(declare-fun y () Int)(declare-fun z () Int)"
             "(assert (= (+ (* x x x) (* y y y) (* z z z)) 5))"
         )
-        for incremental in (False, True):
-            report = RefinementStaub(
-                initial_width=4, max_rounds=3, incremental=incremental
-            ).run(script, budget=40_000)
-            assert report.total_work <= 40_000 + script.size()
-
-
-class TestIncrementalEngine:
-    def test_verdict_parity_with_scratch(self):
-        cases = [
-            "(declare-fun x () Int)(assert (> x 5))(assert (< x 3))",
-            "(declare-fun x () Int)(assert (= (* x x) 49))",
-            "(declare-fun a () Int)(declare-fun b () Int)"
-            "(assert (>= a 3))(assert (< (- a b) 0))(assert (> (+ a b) 62))",
-            "(declare-fun x () Int)(assert (= (* x x) 2))(assert (> x 0))",
-        ]
-        for text in cases:
-            script = parse_script(text)
-            cfg = dict(initial_width=3, growth_factor=2, max_width=16, max_rounds=5)
-            scratch = RefinementStaub(**cfg).run(script, budget=1_200_000)
-            incr = RefinementStaub(incremental=True, **cfg).run(
-                script, budget=1_200_000
-            )
-            assert incr.case == scratch.case
-            assert incr.rounds == scratch.rounds
-            assert incr.mode == "incremental"
-            if incr.case == CASE_VERIFIED_SAT:
-                assert evaluate_assertions(script.assertions, incr.model)
-
-    def test_incremental_cheaper_on_multi_round(self):
-        # Bound inference runs once instead of once per round, so any
-        # multi-round conclusive run is strictly cheaper.
-        script = parse_script(
-            "(declare-fun x () Int)(assert (> x 5))(assert (< x 3))"
+        report = RefinementStaub(initial_width=4, max_rounds=3).run(
+            script, budget=40_000
         )
-        cfg = dict(initial_width=3, max_rounds=5)
-        scratch = RefinementStaub(**cfg).run(script, budget=1_200_000)
-        incr = RefinementStaub(incremental=True, **cfg).run(script, budget=1_200_000)
-        assert len(scratch.rounds) >= 2
-        assert incr.rounds == scratch.rounds
-        assert incr.total_work < scratch.total_work
+        assert report.total_work <= 40_000 + script.size()
 
-    def test_clause_reuse_across_sub_rounds(self):
-        # x^3+y^3+z^3 = 5 is unsat at every width (cubes are 0 or +-1
-        # mod 9). Round one concludes unsat; round two is hard enough
-        # that the conflict-capped first phase caps out, so the probe
-        # and full phases run on the warm solver and observe its
-        # learned clauses.
-        script = parse_script(
-            "(declare-fun x () Int)(declare-fun y () Int)(declare-fun z () Int)"
-            "(assert (= (+ (* x x x) (* y y y) (* z z z)) 5))"
-        )
-        cfg = dict(initial_width=4, growth_factor=2, max_width=16, max_rounds=3)
-        scratch = RefinementStaub(**cfg).run(script, budget=40_000)
-        incr = RefinementStaub(incremental=True, **cfg).run(script, budget=40_000)
-        assert incr.case == scratch.case
-        assert incr.rounds == scratch.rounds
-        assert incr.subrounds > len(incr.rounds)  # phases actually ran
-        assert incr.clauses_reused > 0
-        assert incr.total_work == scratch.total_work  # both billed the budget
+
+class TestRoundCache:
+    #: The smoke suite's multi-round bounded-unsat script.
+    UNSAT_SQUARE = (
+        "(set-logic QF_NIA)\n"
+        "(declare-fun x () Int)\n"
+        "(assert (> x 3))(assert (= (* x x) 4))\n"
+        "(check-sat)\n"
+    )
 
     def test_warm_cache_replays_identically(self):
         script = parse_script(
             "(declare-fun x () Int)(assert (= (* x x) 49))"
         )
         cache = SolveCache()
-        cfg = dict(
-            initial_width=3, max_rounds=5, incremental=True, cache=cache
-        )
+        cfg = dict(initial_width=3, max_rounds=5, cache=cache)
         cold = RefinementStaub(**cfg).run(script, budget=1_200_000)
         warm = RefinementStaub(**cfg).run(script, budget=1_200_000)
+        assert len(cold.rounds) >= 2
         assert warm.case == cold.case
         assert warm.rounds == cold.rounds
         assert warm.total_work == cold.total_work
@@ -229,64 +183,72 @@ class TestIncrementalEngine:
         if warm.case == CASE_VERIFIED_SAT:
             assert evaluate_assertions(script.assertions, warm.model)
 
-    def test_headroom_keeps_verdicts(self):
-        # headroom > 0 trades work for shared encodings; verdicts must
-        # not move.
-        for text in (
-            "(declare-fun x () Int)(assert (> x 5))(assert (< x 3))",
-            "(declare-fun x () Int)(assert (= (* x x) 49))",
-        ):
-            script = parse_script(text)
-            cfg = dict(initial_width=3, max_rounds=5, max_width=16)
-            scratch = RefinementStaub(**cfg).run(script, budget=1_200_000)
-            wide = RefinementStaub(incremental=True, headroom=1, **cfg).run(
-                script, budget=1_200_000
-            )
-            assert wide.case == scratch.case
+    def test_round_keys_keep_their_bytes(self):
+        # Digests of the two-argument key, pinned to what the key
+        # computed when it still took a mode and a width ceiling
+        # (``mode="scratch"``, ``max_width=None``): round caches written
+        # then must keep replaying.
+        script = parse_script(self.UNSAT_SQUARE)
+        assert refine_round_key(script, "absint") == (
+            "07a30f00fc20001a39434acc2f0967f25714256248587b302189bfa3ee98018b"
+        )
+        assert refine_round_key(script, 8) == (
+            "2762649ef313e7fa128e49fce06cfe2c1cb3909649228dc7eef4ce3477cd5b40"
+        )
+
+
+class TestTrace:
+    def test_round_spans_account_for_total_work(self, tmp_path):
+        # A multi-round run no budget clamps: every unit the loop bills
+        # is inside a refinement.round span.
+        trace = str(tmp_path / "refine.jsonl")
+        script = parse_script(TestRoundCache.UNSAT_SQUARE)
+        telemetry.enable(trace_path=trace)
+        try:
+            report = RefinementStaub().run(script, budget=200_000)
+        finally:
+            telemetry.disable()
+        assert len(report.rounds) == 3
+        assert not report.budget_exhausted
+        stages = aggregate(load_trace(trace))
+        assert stages["refinement.round"]["spans"] == len(report.rounds)
+        assert stages["refinement.round"]["work"] == report.total_work
 
 
 class TestAblationAcceptance:
-    """The incremental-vs-scratch acceptance bar, on a small slice of
-    the NIA suite (the full run lives in `run_all refinement`)."""
+    """The refinement ablation on a small slice of the NIA suite (the
+    full run lives in `run_all refinement`)."""
 
-    @pytest.fixture(scope="class")
-    def rows(self):
-        from repro.evaluation import ablation
+    @staticmethod
+    def _experiment():
         from repro.evaluation.runner import ExperimentCache
 
-        cache = ExperimentCache(seed=13, scale=0.08, timeout=200_000)
-        return ablation.refinement_comparison(cache), cache.timeout
+        return ExperimentCache(
+            seed=13, scale=0.08, timeout=200_000, solve_cache=SolveCache()
+        )
 
-    def test_verdicts_identical_on_every_instance(self, rows):
-        from repro.evaluation.ablation import _verdict
-
-        comparison, _ = rows
-        assert comparison  # the slice is non-empty
-        for row in comparison:
-            assert _verdict(row, "incremental") == _verdict(row, "scratch"), row["name"]
-
-    def test_work_reduced_on_every_multi_round_instance(self, rows):
-        comparison, budget = rows
-        multi = [r for r in comparison if len(r["scratch"]["rounds"]) > 1]
-        assert multi
-        for row in multi:
-            s = row["scratch"]["total_work"]
-            i = row["incremental"]["total_work"]
-            if s >= budget:
-                # Clamped (timeout) instances bill exactly the budget in
-                # both engines; "reduced" is meaningless there.
-                assert i == s, row["name"]
-            else:
-                assert i < s, row["name"]
-        assert any(r["scratch"]["total_work"] < budget for r in multi)
-
-    def test_render_emits_diffable_lines(self, rows):
+    def test_render_emits_diffable_lines(self):
         from repro.evaluation import ablation
-        from repro.evaluation.runner import ExperimentCache
 
-        cache = ExperimentCache(seed=13, scale=0.08, timeout=200_000)
-        text = ablation.render_refinement(cache)
-        verdicts = [l for l in text.splitlines() if l.startswith("verdict ")]
-        comparison, _ = rows
-        assert len(verdicts) == 2 * len(comparison)
-        assert any(l.startswith("summary ") for l in text.splitlines())
+        lines = ablation.render_refinement(self._experiment()).splitlines()
+        verdicts = [l.split()[1] for l in lines if l.startswith("verdict ")]
+        work = [l.split()[1] for l in lines if l.startswith("work ")]
+        assert verdicts  # the slice is non-empty
+        assert work == verdicts  # one work line per instance, same order
+        assert sum(l.startswith("summary ") for l in lines) == 1
+
+    def test_warm_rerun_replays_identically(self):
+        from repro.evaluation import ablation
+
+        experiment = self._experiment()
+        cold = ablation.refinement_rows(experiment)
+        warm = ablation.refinement_rows(experiment)
+        assert len(warm) == len(cold)
+        for before, after in zip(cold, warm):
+            assert before.pop("cache_hits") == 0
+            hits = after.pop("cache_hits")
+            assert after == before
+            # Every round but a budget-bound unknown was stored and replays.
+            stored = [case for _, case in after["rounds"] if case != CASE_BOUNDED_UNKNOWN]
+            assert hits == len(stored), after["name"]
+        assert any(len(row["rounds"]) > 1 for row in warm)

@@ -1,10 +1,10 @@
 """Incremental-use contract of the CDCL core.
 
-The width-refinement engine leans on three SatSolver behaviors that the
-one-shot tests never exercise: interleaving ``solve(assumptions)`` with
-``add_clause``, the final-conflict (assumption core) staying correct
-across re-solves, and the permanent root-UNSAT state. These tests pin
-them down directly at the SAT layer.
+Incremental sessions (:mod:`repro.solver.session`) lean on three
+SatSolver behaviors that the one-shot tests never exercise: interleaving
+``solve(assumptions)`` with ``add_clause``, the final-conflict
+(assumption core) staying correct across re-solves, and the permanent
+root-UNSAT state. These tests pin them down directly at the SAT layer.
 """
 
 from repro.sat.solver import SAT, UNKNOWN, UNSAT, SatSolver
