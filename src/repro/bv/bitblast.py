@@ -13,8 +13,12 @@ Circuit choices are the textbook ones used by real bit-blasters:
   divider circuits;
 - barrel shifters;
 - subtract-based unsigned comparators, sign-flip wrappers for signed ones;
-- overflow predicates computed on width-extended circuits, exactly
-  mirroring their SMT-LIB definitions.
+- overflow predicates without double-width circuits: the signed add/sub
+  ones test the top two bits of a (w+1)-bit sum, the unsigned ones a
+  carry or borrow, and the multiplication ones (as in Boolector) OR a
+  linear leading-bits test over the operands with the top bits of a
+  (w+1)-bit product, whose low w bits are the gates of a plain ``bvmul``
+  of the same operands.
 """
 
 from repro import telemetry
@@ -393,6 +397,21 @@ class BitBlaster:
 
     # -- overflow predicates ----------------------------------------------
 
+    def _leading_bits_overlap(self, left, right):
+        """Literal: ``left[i]`` and ``right[j]`` are both set for some
+        ``i + j >= len(left)``, i.e. the operands' leading one bits alone
+        force a product of at least ``2**len(left)``.
+
+        One suffix-OR chain over ``right``: O(n) gates, not O(n**2).
+        """
+        width = len(left)
+        flagged = -self._true
+        tail = -self._true  # OR of right[width - i :]
+        for i in range(1, width):
+            tail = self._gate_or(tail, right[width - i])
+            flagged = self._gate_or(flagged, self._gate_and(left[i], tail))
+        return flagged
+
     def _overflow(self, op, left, right):
         width = len(left)
         if op is Op.BVSADDO or op is Op.BVSSUBO:
@@ -410,18 +429,24 @@ class BitBlaster:
         if op is Op.BVUSUBO:
             return self._ult(left, right)
         if op is Op.BVSMULO:
-            extended_left = self._extend(left, width, signed=True)
-            extended_right = self._extend(right, width, signed=True)
-            product = self._multiplier(extended_left, extended_right)
-            # Fits iff bits [width-1 .. 2*width-1] all equal the sign bit.
-            sign = product[width - 1]
-            mismatches = [self._gate_xor(product[i], sign) for i in range(width, 2 * width)]
-            return self._gate_or_many(mismatches)
+            # Magnitude bits below each sign (one's complement of a
+            # negative operand): leading bits at i + j >= width-1 overflow.
+            sign_left, sign_right = left[-1], right[-1]
+            magnitude_left = [self._gate_xor(bit, sign_left) for bit in left[:-1]]
+            magnitude_right = [self._gate_xor(bit, sign_right) for bit in right[:-1]]
+            leading = self._leading_bits_overlap(magnitude_left, magnitude_right)
+            # Otherwise the product fits width+1 bits; it overflows width
+            # iff its top two bits differ (at width 1 this folds to a AND b).
+            product = self._multiplier(
+                self._extend(left, 1, signed=True), self._extend(right, 1, signed=True)
+            )
+            return self._gate_or(leading, self._gate_xor(product[width], product[width - 1]))
         if op is Op.BVUMULO:
-            extended_left = self._extend(left, width, signed=False)
-            extended_right = self._extend(right, width, signed=False)
-            product = self._multiplier(extended_left, extended_right)
-            return self._gate_or_many(list(product[width:]))
+            leading = self._leading_bits_overlap(left, right)
+            product = self._multiplier(
+                self._extend(left, 1, signed=False), self._extend(right, 1, signed=False)
+            )
+            return self._gate_or(leading, product[width])
         if op is Op.BVSDIVO:
             int_min = self._equal(left, self._const_bits(1 << (width - 1), width))
             minus_one = self._equal(right, self._const_bits((1 << width) - 1, width))

@@ -204,20 +204,24 @@ class Staub:
         # evenly between the two stages (TRANSLATE_COST_PER_NODE == 2:
         # one unit per node to analyze, one to translate).
         size = script.size()
+        t_trans = TRANSLATE_COST_PER_NODE * size
         with telemetry.span("infer") as span:
             inference = infer_bounds(script)
             span.set_attr("theory", inference.theory)
             span.add_work(size)
         with telemetry.span("transform") as span:
-            if inference.theory == "int":
-                width = self._choose_int_width(inference)
-                result = transform_script(script, "int", width=width)
-            else:
-                shape = self._choose_shape(inference)
-                result = transform_script(script, "real", shape=shape)
+            try:
+                if inference.theory == "int":
+                    width = self._choose_int_width(inference)
+                    result = transform_script(script, "int", width=width)
+                else:
+                    shape = self._choose_shape(inference)
+                    result = transform_script(script, "real", shape=shape)
+            finally:
+                # A failed translation did its work too: settle before
+                # the error leaves the span.
+                span.settle(t_trans - size)
             span.set_attr("width", result.width)
-            t_trans = TRANSLATE_COST_PER_NODE * size
-            span.settle(t_trans - size)
         return result, inference, t_trans
 
     def run(self, script, budget=None):

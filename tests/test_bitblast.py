@@ -1,12 +1,14 @@
 """Bit-blaster correctness: solver answers must agree with the exact
 evaluator on random constraints (brute-force over small widths)."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bv.bitblast import BitBlaster
 from repro.bv.solver import solve_bounded_script
-from repro.sat.solver import solve_cnf
+from repro.sat.solver import SAT, UNSAT, SatSolver, solve_cnf
 from repro.smtlib import build
 from repro.smtlib.evaluator import evaluate
 from repro.smtlib.script import Script
@@ -94,6 +96,54 @@ class TestAgainstBruteForce:
                 name: result.model[name] for name in assertion.variables()
             }
             assert evaluate(assertion, model) is True
+
+
+class TestOverflowPredicates:
+    """Every overflow predicate against the evaluator on every input."""
+
+    @pytest.mark.parametrize("op", OVERFLOW_OPS + [Op.BVNEGO], ids=lambda op: op.value)
+    @pytest.mark.parametrize("width", range(1, 6))
+    def test_exhaustive_against_evaluator(self, op, width):
+        x = build.BitVecVar("x", width)
+        y = build.BitVecVar("y", width)
+        if op is Op.BVNEGO:
+            predicate, operands = build.BVNegO(x), (x,)
+        else:
+            predicate, operands = build.bv_overflow(op, x, y), (x, y)
+        blaster = BitBlaster()
+        literal = blaster.blast_bool(predicate)
+        operand_bits = [blaster.blast_bits(term) for term in operands]
+        solver = SatSolver(cnf=blaster.cnf)
+        solver.attach()
+        for values in itertools.product(range(1 << width), repeat=len(operands)):
+            assumptions = [
+                bit if (value >> i) & 1 else -bit
+                for value, bits in zip(values, operand_bits)
+                for i, bit in enumerate(bits)
+            ]
+            expected = evaluate(
+                predicate,
+                {t.name: BVValue(v, width) for t, v in zip(operands, values)},
+            )
+            wanted = literal if expected else -literal
+            assert solver.solve(assumptions=assumptions) == SAT
+            model = solver.model()
+            assert model[abs(wanted)] == (wanted > 0), (op, width, values)
+            assert solver.solve(assumptions=assumptions + [-wanted]) == UNSAT
+
+    @pytest.mark.parametrize("width", [8, 16, 32])
+    def test_guarded_product_costs_linear_clauses(self, width):
+        # The guard's (width+1)-bit product shares the product's gates;
+        # a 2*width-bit product would add quadratically many clauses.
+        x = build.BitVecVar("x", width)
+        y = build.BitVecVar("y", width)
+        product_only = BitBlaster()
+        product_only.blast_bits(build.BVMul(x, y))
+        guarded = BitBlaster()
+        guarded.blast_bits(build.BVMul(x, y))
+        guarded.blast_bool(build.bv_overflow(Op.BVSMULO, x, y))
+        added = len(guarded.cnf.clauses) - len(product_only.cnf.clauses)
+        assert added < 40 * width
 
 
 class TestStructuralOps:

@@ -8,6 +8,7 @@ from repro.cache.keys import refine_round_key
 from repro.core.pipeline import (
     CASE_BOUNDED_UNKNOWN,
     CASE_BOUNDED_UNSAT,
+    CASE_TRANSFORM_FAILED,
     CASE_VERIFIED_SAT,
 )
 from repro.core.refinement import RefinementStaub
@@ -213,6 +214,27 @@ class TestTrace:
         stages = aggregate(load_trace(trace))
         assert stages["refinement.round"]["spans"] == len(report.rounds)
         assert stages["refinement.round"]["work"] == report.total_work
+
+    def test_transform_failed_rounds_are_on_the_trace(self, tmp_path):
+        # A round whose constants do not fit bills its analysis and
+        # translation; the trace must carry the same work.
+        trace = str(tmp_path / "refine.jsonl")
+        script = parse_script(
+            "(declare-fun x () Int)(assert (= x 100))(assert (> (* x x) 5))"
+        )
+        telemetry.enable(trace_path=trace)
+        try:
+            report = RefinementStaub(initial_width=3).run(script, budget=200_000)
+        finally:
+            telemetry.disable()
+        assert report.rounds == [
+            (3, CASE_TRANSFORM_FAILED),
+            (6, CASE_TRANSFORM_FAILED),
+            (12, CASE_BOUNDED_UNSAT),
+        ]
+        stages = aggregate(load_trace(trace))
+        assert stages["refinement.round"]["work"] == report.total_work
+        assert stages["transform"]["work"] == 3 * script.size()
 
 
 class TestAblationAcceptance:
