@@ -2,16 +2,12 @@
 
 The bench layer is the measurement discipline every perf PR is gated
 on. It runs named suites through the real solver stack and writes a
-versioned ``BENCH_<suite>.json`` artifact with two cleanly segregated
-sections:
-
-- **deterministic**: verdicts, unified work units, per-stage span
-  aggregates, and solver counters. Byte-identical across machines and
-  runs; CI diffs it exactly against a checked-in baseline.
-- **wall_clock**: median-of-N timings and throughput rates
-  (propagations/sec, pivots/sec, ...). Informational -- it moves with
-  the hardware and is compared only within a tolerance, never gated by
-  default.
+versioned ``BENCH_<suite>.json`` artifact whose one measured section,
+**deterministic**, holds verdicts, unified work units, per-stage span
+aggregates, and solver counters. It is byte-identical across machines
+and runs; CI diffs it exactly against a checked-in baseline. Wall time
+is not recorded here: ``perfbench/`` measures it, and
+``scripts/ab.py`` compares it against a git revision.
 
 See :mod:`repro.bench.suites` for the suite catalogue,
 :mod:`repro.bench.harness` for the runner, and

@@ -1,16 +1,10 @@
 """Compare a bench artifact against a baseline (``staub bench --compare``).
 
-Two regimes, matching the artifact's two sections:
-
-- The **deterministic** sections are diffed *exactly*. Any difference --
-  a changed verdict, a work total that moved, a counter that appeared or
-  vanished -- is a finding. This is the regression gate CI enforces: a
-  perf PR that changes deterministic work must regenerate the checked-in
-  baseline deliberately, making every cost change visible in review.
-- The **wall-clock** sections are compared within a relative tolerance,
-  and only when one is requested: timings move with the hardware, so by
-  default wall drift is reported as informational warnings and never
-  fails the comparison.
+The **deterministic** sections are diffed *exactly*. Any difference --
+a changed verdict, a work total that moved, a counter that appeared or
+vanished -- is a finding. This is the regression gate CI enforces: a
+perf PR that changes deterministic work must regenerate the checked-in
+baseline deliberately, making every cost change visible in review.
 """
 
 
@@ -49,35 +43,26 @@ def _show(value):
     return text if len(text) <= 60 else text[:57] + "..."
 
 
-def compare_payloads(current, baseline, wall_tolerance=None):
+def compare_payloads(current, baseline):
     """Compare two bench payloads.
 
     Args:
         current: the fresh run's payload dict.
         baseline: the baseline payload dict.
-        wall_tolerance: relative slowdown allowed before a wall-clock
-            drift counts as a regression (e.g. ``0.25`` = 25% slower).
-            None (default) keeps wall drift informational.
 
     Returns:
-        ``(regressions, warnings)`` -- lists of human-readable strings.
-        Empty ``regressions`` means the gate passes.
+        A list of human-readable regressions; empty means the gate passes.
     """
-    regressions = []
-    warnings = []
-
     if current.get("format") != baseline.get("format"):
-        regressions.append(
+        return [
             "artifact format mismatch: baseline "
             f"{baseline.get('format')!r}, current {current.get('format')!r}"
-        )
-        return regressions, warnings
+        ]
     if current.get("suite") != baseline.get("suite"):
-        regressions.append(
+        return [
             f"suite mismatch: baseline {baseline.get('suite')!r}, "
             f"current {current.get('suite')!r}"
-        )
-        return regressions, warnings
+        ]
 
     findings = []
     _walk_diff(
@@ -86,38 +71,15 @@ def compare_payloads(current, baseline, wall_tolerance=None):
         "",
         findings,
     )
-    for path, kind, detail in findings:
-        regressions.append(f"deterministic: {path}: {kind}: {detail}")
-
-    cur_wall = current.get("wall_clock", {}).get("cases", {})
-    base_wall = baseline.get("wall_clock", {}).get("cases", {})
-    for name in sorted(set(cur_wall) & set(base_wall)):
-        cur_s = cur_wall[name].get("seconds_median")
-        base_s = base_wall[name].get("seconds_median")
-        if not cur_s or not base_s:
-            continue
-        ratio = cur_s / base_s
-        message = (
-            f"wall-clock: {name}: {base_s:.6f}s -> {cur_s:.6f}s "
-            f"({ratio:.2f}x)"
-        )
-        if wall_tolerance is not None and ratio > 1.0 + wall_tolerance:
-            regressions.append(message + f" exceeds tolerance {wall_tolerance:.2f}")
-        elif ratio > 1.0:
-            warnings.append(message)
-
-    return regressions, warnings
+    return [
+        f"deterministic: {path}: {kind}: {detail}" for path, kind, detail in findings
+    ]
 
 
-def render_comparison(regressions, warnings):
+def render_comparison(regressions):
     """Human-readable comparison report."""
-    lines = []
-    if regressions:
-        lines.append(f"REGRESSIONS ({len(regressions)}):")
-        lines.extend(f"  {entry}" for entry in regressions)
-    else:
-        lines.append("deterministic sections identical")
-    if warnings:
-        lines.append(f"wall-clock drift (informational, {len(warnings)}):")
-        lines.extend(f"  {entry}" for entry in warnings)
+    if not regressions:
+        return "deterministic sections identical"
+    lines = [f"REGRESSIONS ({len(regressions)}):"]
+    lines.extend(f"  {entry}" for entry in regressions)
     return "\n".join(lines)

@@ -1,28 +1,23 @@
 """Run a bench suite and build the ``BENCH_<suite>.json`` payload.
 
-Each case runs three ways:
+Each case runs twice:
 
-1. **cold, instrumented**: fresh metrics registry, in-memory span sink,
-   fresh solve cache. Produces the case's deterministic record: verdict,
-   unified work, per-stage span aggregates, and the registry's counter
-   totals (propagations, conflicts, decisions, pivots, gates blasted,
+1. **cold**: fresh metrics registry, in-memory span sink, fresh solve
+   cache. Produces the case's deterministic record: verdict, unified
+   work, per-stage span aggregates, and the registry's counter totals
+   (propagations, conflicts, decisions, pivots, gates blasted,
    refinement rounds, ...).
-2. **warm, instrumented**: the same case again on the now-warm cache,
-   recording the cache-served work and hit counts -- the per-query
-   hit/latency accounting that makes cache/reuse claims credible.
-3. **timed, uninstrumented** (optional): ``repeats`` cold repeats with
-   telemetry off, wall-clock only. The median lands in the wall-clock
-   section together with throughput rates derived from the cold
-   deterministic counters.
+2. **warm**: the same case again on the now-warm cache, recording the
+   cache-served work and hit counts -- the per-query hit/latency
+   accounting that makes cache/reuse claims credible.
 
 The deterministic section contains only ints, strings, and bools -- no
 floats, no timestamps, no paths -- and serializes byte-identically under
-``json.dumps(..., sort_keys=True)`` on every machine.
+``json.dumps(..., sort_keys=True)`` on every machine. Nothing here reads
+a wall clock: wall time is measured by ``perfbench/``.
 """
 
 import json
-import statistics
-import time
 
 from repro import telemetry
 from repro.bench.suites import get_suite
@@ -33,15 +28,6 @@ from repro.telemetry.spans import Tracer
 
 #: Version stamp of the artifact layout; bump on incompatible changes.
 BENCH_FORMAT = 1
-
-#: Counters whose suite-wide totals feed throughput rates.
-THROUGHPUT_COUNTERS = (
-    "solver.propagations",
-    "solver.conflicts",
-    "solver.decisions",
-    "solver.pivots",
-    "blast.cnf_clauses",
-)
 
 
 def default_artifact_name(suite):
@@ -89,30 +75,15 @@ def _run_instrumented(case, cache):
     return outcome, _counter_totals(registry.snapshot()), stages
 
 
-def _time_case(case, repeats):
-    """Median wall seconds over ``repeats`` cold, uninstrumented runs."""
-    samples = []
-    for _ in range(repeats):
-        cache = SolveCache(max_entries=None)
-        start = time.perf_counter()
-        case.run(cache)
-        samples.append(time.perf_counter() - start)
-    return statistics.median(samples)
-
-
-def run_suite(suite, repeats=3, timing=True, progress=None):
+def run_suite(suite, progress=None):
     """Run a named suite; returns the full artifact payload dict.
 
     Args:
         suite: suite name (see :func:`repro.bench.suites.get_suite`).
-        repeats: wall-clock repeats per case (median is reported).
-        timing: skip the wall-clock section entirely when False (the
-            deterministic section never depends on it).
         progress: optional ``callable(str)`` for per-case progress lines.
     """
     cases = get_suite(suite)
     det_cases = {}
-    wall_cases = {}
     totals = {"cases": len(cases), "work": 0}
     counter_sums = {}
 
@@ -149,19 +120,7 @@ def run_suite(suite, repeats=3, timing=True, progress=None):
         for name, value in counters.items():
             counter_sums[name] = counter_sums.get(name, 0) + value
 
-        if timing and repeats > 0:
-            seconds = _time_case(case, repeats)
-            rates = {}
-            for name in THROUGHPUT_COUNTERS:
-                count = counters.get(name, 0)
-                if count and seconds > 0:
-                    rates[f"{name}_per_sec"] = round(count / seconds, 1)
-            wall_cases[case.name] = {
-                "seconds_median": round(seconds, 6),
-                "throughput": rates,
-            }
-
-    payload = {
+    return {
         "format": BENCH_FORMAT,
         "suite": suite,
         "deterministic": {
@@ -169,15 +128,7 @@ def run_suite(suite, repeats=3, timing=True, progress=None):
             "totals": totals,
             "counters": {name: counter_sums[name] for name in sorted(counter_sums)},
         },
-        "wall_clock": {
-            "repeats": repeats if timing else 0,
-            "cases": wall_cases,
-            "seconds_total": round(
-                sum(entry["seconds_median"] for entry in wall_cases.values()), 6
-            ),
-        },
     }
-    return payload
 
 
 def deterministic_bytes(payload):
@@ -198,6 +149,21 @@ def write_artifact(payload, path):
 
 
 def load_artifact(path):
-    """Read a ``BENCH_*.json`` artifact back into a payload dict."""
+    """Read a ``BENCH_*.json`` artifact back into a payload dict.
+
+    Raises:
+        ValueError: naming ``path``, when the file is not a JSON object
+            with a ``deterministic`` object.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            payload = json.load(handle)
+        except ValueError as error:
+            raise ValueError(f"{path} is not a bench artifact ({error})") from None
+    if not isinstance(payload, dict) or not isinstance(
+        payload.get("deterministic"), dict
+    ):
+        raise ValueError(
+            f"{path} is not a bench artifact (no 'deterministic' object)"
+        )
+    return payload

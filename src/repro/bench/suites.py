@@ -5,8 +5,7 @@ budgets, no wall-clock dependence anywhere in the measured path. A case
 is a callable taking the per-case :class:`~repro.cache.SolveCache` and
 returning a small dict of deterministic outcomes (``verdict`` plus
 ``work`` in unified units, at minimum); the harness wraps it with
-telemetry, runs it cold and warm, and times separate repeats for the
-wall-clock section.
+telemetry and runs it cold and warm.
 
 Suites:
 

@@ -32,7 +32,7 @@ Mirrors the paper's tool surface:
   ``--critical-path`` prints the heaviest span chain, and
   ``--flamegraph OUT.folded`` exports collapsed stacks.
 - ``staub bench --suite NAME``: run a deterministic benchmark suite
-  and write a two-section ``BENCH_<suite>.json`` artifact;
+  and write its deterministic ``BENCH_<suite>.json`` artifact;
   ``--compare BASELINE.json`` exits nonzero on any deterministic
   regression.
 
@@ -340,19 +340,20 @@ def _cmd_bench(args):
         for name in available_suites():
             print(name)
         return 0
-    if args.replay:
-        payload = load_artifact(args.replay)
-    else:
-        if not args.suite:
-            print("staub: error: bench needs --suite, --replay, or --list",
-                  file=sys.stderr)
-            return 2
+    if not (args.replay or args.suite):
+        print("staub: error: bench needs --suite, --replay, or --list",
+              file=sys.stderr)
+        return 2
+    try:
+        baseline = load_artifact(args.compare) if args.compare else None
+        payload = load_artifact(args.replay) if args.replay else None
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
+    if payload is None:
         try:
             payload = run_suite(
-                args.suite,
-                repeats=args.repeats,
-                timing=not args.no_wall,
-                progress=lambda line: print(line, file=sys.stderr),
+                args.suite, progress=lambda line: print(line, file=sys.stderr)
             )
         except KeyError as error:
             print(f"staub: error: {error.args[0]}", file=sys.stderr)
@@ -364,17 +365,10 @@ def _cmd_bench(args):
     deterministic = payload["deterministic"]
     print(f"suite: {payload['suite']}  cases: {deterministic['totals']['cases']}  "
           f"work: {deterministic['totals']['work']}")
-    wall = payload.get("wall_clock", {})
-    if wall.get("cases"):
-        print(f"wall: {wall['seconds_total']:.3f}s median-of-{wall['repeats']} "
-              "(informational)")
 
-    if args.compare:
-        baseline = load_artifact(args.compare)
-        regressions, warnings = compare_payloads(
-            payload, baseline, wall_tolerance=args.wall_tolerance
-        )
-        print(render_comparison(regressions, warnings))
+    if baseline is not None:
+        regressions = compare_payloads(payload, baseline)
+        print(render_comparison(regressions))
         if regressions:
             return 1
     return 0
@@ -676,31 +670,11 @@ def build_parser():
         help="artifact path (default BENCH_<suite>.json)",
     )
     bench.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        metavar="N",
-        help="wall-clock repeats per case, median reported (default 3)",
-    )
-    bench.add_argument(
-        "--no-wall",
-        action="store_true",
-        help="skip wall-clock timing entirely (deterministic section only)",
-    )
-    bench.add_argument(
         "--compare",
         default=None,
         metavar="BASELINE.json",
         help="diff against a baseline artifact; exit 1 on any "
         "deterministic difference",
-    )
-    bench.add_argument(
-        "--wall-tolerance",
-        type=float,
-        default=None,
-        metavar="FRAC",
-        help="treat wall-clock slowdowns beyond this fraction as "
-        "regressions too (e.g. 0.25); default: informational only",
     )
     bench.add_argument(
         "--replay",

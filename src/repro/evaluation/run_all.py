@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from repro import telemetry
 from repro.guard import chaos
@@ -293,11 +294,10 @@ def main(argv=None):
         # Spawned workers pick the plan up from the environment.
         os.environ[chaos.ENV_VAR] = args.chaos
 
-    # The harness runs with telemetry on: per-experiment spans time the
-    # runs (wall-clock on stderr for humans, virtual work in the
-    # artifact). A fresh registry per invocation keeps the artifact
-    # byte-identical across repeated in-process runs.
-    telemetry.enable(trace_path=args.trace, wall_clock=True, registry=MetricsRegistry())
+    # The harness runs with telemetry on: per-experiment spans record
+    # virtual work for the artifact. A fresh registry per invocation
+    # keeps the artifact byte-identical across repeated in-process runs.
+    telemetry.enable(trace_path=args.trace, registry=MetricsRegistry())
     store = SolveCache(path=args.cache) if args.cache else None
     cache = ExperimentCache(
         seed=args.seed, scale=args.scale, timeout=args.timeout, solve_cache=store
@@ -310,15 +310,15 @@ def main(argv=None):
                 _precompute_parallel(cache, args.jobs, store=store)
             print(f"[precomputed standard cells with {args.jobs} jobs]", file=sys.stderr)
         for experiment in wanted:
+            start = time.perf_counter()
             with telemetry.span(f"experiment:{experiment}") as span:
                 output = run(experiment, cache, args)
+            seconds = time.perf_counter() - start
             print("=" * 78)
             print(output)
-            # Progress goes to stderr so stdout stays machine-parseable.
-            print(
-                f"[{experiment} took {span.wall_seconds:.1f}s wall]",
-                file=sys.stderr,
-            )
+            # Progress goes to stderr so stdout stays machine-parseable;
+            # scripts/fill_experiments.py splits its input on this line.
+            print(f"[{experiment} took {seconds:.1f}s wall]", file=sys.stderr)
             print()
             experiment_spans.append({"experiment": experiment, "work": span.work})
         if args.json or args.csv:

@@ -5,7 +5,8 @@ Design constraints, in priority order:
 1. **Determinism.** Spans run on the same virtual clock as every
    experiment (unified work units); metrics record deterministic
    counters. Two runs of the same seeded workload produce byte-identical
-   telemetry. Wall-clock is opt-in and clearly segregated.
+   telemetry. Nothing here reads a wall clock; ``perfbench/`` measures
+   wall time.
 2. **Near-zero overhead when off.** Telemetry is disabled by default.
    Every hook checks the module-level :data:`enabled` flag before doing
    any work; ``span()`` returns a shared no-op object, counter helpers
@@ -72,12 +73,11 @@ def is_enabled():
     return enabled
 
 
-def enable(trace_path=None, wall_clock=False, registry=None, sink=None):
+def enable(trace_path=None, registry=None, sink=None):
     """Turn telemetry on.
 
     Args:
         trace_path: write closed spans to this JSONL file.
-        wall_clock: also record (non-deterministic) wall durations.
         registry: replace the process-global metrics registry.
         sink: callable receiving each closed span's dict; used by
             in-process consumers (the bench harness) instead of a trace
@@ -90,7 +90,7 @@ def enable(trace_path=None, wall_clock=False, registry=None, sink=None):
     if _writer is not None:
         _writer.close()
     _writer = JsonlWriter(trace_path) if trace_path else None
-    _tracer = Tracer(sink=_writer if _writer is not None else sink, wall_clock=wall_clock)
+    _tracer = Tracer(sink=_writer if _writer is not None else sink)
     if registry is not None:
         set_registry(registry)
     enabled = True

@@ -6,17 +6,14 @@ stack, and a span's virtual duration is everything charged to the clock
 while it was open -- its own :meth:`Span.add_work` charges plus those of
 any children. Because the clock only advances through explicit work
 charges (unified work units, see :mod:`repro.solver.costs`), traces are
-byte-identical across machines and runs.
-
-Wall-clock timing is optional (``wall_clock=True`` on the tracer) and is
-kept out of the deterministic fields so that traces stay diffable.
+byte-identical across machines and runs. No span reads a wall clock;
+wall time is measured by ``perfbench/``.
 
 Export is JSON Lines: one object per *closed* span, written in close
 order (children before parents, like any post-order trace format).
 """
 
 import json
-import time
 
 
 class Span:
@@ -37,19 +34,15 @@ class Span:
         "t_start",
         "t_end",
         "_tracer",
-        "_wall_start",
-        "wall_seconds",
     )
 
-    def __init__(self, tracer, name, attrs, depth, t_start, wall_start=None):
+    def __init__(self, tracer, name, attrs, depth, t_start):
         self._tracer = tracer
         self.name = name
         self.attrs = attrs
         self.depth = depth
         self.t_start = t_start
         self.t_end = None
-        self._wall_start = wall_start
-        self.wall_seconds = None
 
     @property
     def work(self):
@@ -91,8 +84,6 @@ class Span:
         }
         if self.attrs:
             record["attrs"] = {k: self.attrs[k] for k in sorted(self.attrs)}
-        if self.wall_seconds is not None:
-            record["wall_seconds"] = self.wall_seconds
         return record
 
     def __repr__(self):
@@ -107,7 +98,6 @@ class _NullSpan:
     name = None
     attrs = {}
     work = 0
-    wall_seconds = None
 
     def add_work(self, units):
         pass
@@ -134,13 +124,10 @@ class Tracer:
     Args:
         sink: optional callable receiving each closed span's dict (e.g.
             a :class:`JsonlWriter`).
-        wall_clock: also record wall-clock durations (non-deterministic;
-            excluded from deterministic artifacts).
     """
 
-    def __init__(self, sink=None, wall_clock=False):
+    def __init__(self, sink=None):
         self.sink = sink
-        self.wall_clock = wall_clock
         self.vclock = 0
         self._stack = []
 
@@ -158,10 +145,7 @@ class Tracer:
 
     def span(self, name, **attrs):
         """Open a nested span; use as a context manager."""
-        wall_start = time.perf_counter() if self.wall_clock else None
-        opened = Span(
-            self, name, dict(attrs), len(self._stack), self.vclock, wall_start
-        )
+        opened = Span(self, name, dict(attrs), len(self._stack), self.vclock)
         self._stack.append(opened)
         return opened
 
@@ -176,8 +160,6 @@ class Tracer:
 
     def _finish(self, span, error):
         span.t_end = self.vclock
-        if span._wall_start is not None:
-            span.wall_seconds = time.perf_counter() - span._wall_start
         if error:
             span.attrs["error"] = True
         if self.sink is not None:

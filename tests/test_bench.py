@@ -36,11 +36,11 @@ def telemetry_off():
 
 @pytest.fixture(scope="module")
 def smoke_payload():
-    """One shared smoke run (wall-clock skipped: deterministic only)."""
-    return run_suite("smoke", timing=False)
+    """One shared smoke run."""
+    return run_suite("smoke")
 
 
-def _payload(suite="smoke", work=100, seconds=1.0):
+def _payload(suite="smoke", work=100):
     """Small synthetic artifact for compare tests."""
     return {
         "format": 1,
@@ -49,11 +49,6 @@ def _payload(suite="smoke", work=100, seconds=1.0):
             "cases": {"a": {"cold": {"verdict": "sat", "work": work}}},
             "totals": {"cases": 1, "work": work},
             "counters": {"solver.propagations": work * 10},
-        },
-        "wall_clock": {
-            "repeats": 1,
-            "cases": {"a": {"seconds_median": seconds, "throughput": {}}},
-            "seconds_total": seconds,
         },
     }
 
@@ -75,16 +70,18 @@ class TestSuites:
 
 class TestDeterminism:
     def test_smoke_deterministic_section_byte_identical(self, smoke_payload):
-        again = run_suite("smoke", timing=False)
+        again = run_suite("smoke")
         assert deterministic_bytes(smoke_payload) == deterministic_bytes(again)
+        # The artifact records no wall time: nothing outside this section.
+        assert set(smoke_payload) == {"format", "suite", "deterministic"}
 
     def test_smoke_matches_checked_in_baseline(self, smoke_payload):
         baseline = load_artifact(BASELINE)
-        regressions, _warnings = compare_payloads(smoke_payload, baseline)
+        regressions = compare_payloads(smoke_payload, baseline)
         assert regressions == [], (
             "deterministic drift vs benchmarks/baselines/BENCH_smoke.json -- "
             "if the cost change is intentional, regenerate the baseline with "
-            "`staub bench --suite smoke --no-wall --out "
+            "`staub bench --suite smoke --out "
             "benchmarks/baselines/BENCH_smoke.json`"
         )
 
@@ -127,7 +124,7 @@ class TestDeterminism:
 @pytest.fixture(scope="module")
 def termination_payload():
     """One shared termination-suite run (classic + session lanes)."""
-    return run_suite("termination", timing=False)
+    return run_suite("termination")
 
 
 def _session_pairs(payload):
@@ -158,11 +155,11 @@ class TestTerminationSessions:
 
     def test_matches_checked_in_baseline(self, termination_payload):
         baseline = load_artifact(TERMINATION_BASELINE)
-        regressions, _warnings = compare_payloads(termination_payload, baseline)
+        regressions = compare_payloads(termination_payload, baseline)
         assert regressions == [], (
             "deterministic drift vs benchmarks/baselines/BENCH_termination.json"
             " -- if the cost change is intentional, regenerate with `staub"
-            " bench --suite termination --no-wall --out"
+            " bench --suite termination --out"
             " benchmarks/baselines/BENCH_termination.json`"
         )
 
@@ -233,12 +230,10 @@ class TestTerminationSessions:
 
 class TestCompare:
     def test_identical_payloads_pass(self):
-        regressions, warnings = compare_payloads(_payload(), _payload())
-        assert regressions == []
-        assert warnings == []
+        assert compare_payloads(_payload(), _payload()) == []
 
     def test_deterministic_change_is_regression(self):
-        regressions, _ = compare_payloads(_payload(work=101), _payload(work=100))
+        regressions = compare_payloads(_payload(work=101), _payload(work=100))
         assert regressions
         assert any("deterministic" in entry for entry in regressions)
 
@@ -246,33 +241,12 @@ class TestCompare:
         current = _payload()
         del current["deterministic"]["counters"]["solver.propagations"]
         current["deterministic"]["counters"]["solver.pivots"] = 5
-        regressions, _ = compare_payloads(current, _payload())
-        kinds = "\n".join(regressions)
+        kinds = "\n".join(compare_payloads(current, _payload()))
         assert "removed" in kinds
         assert "added" in kinds
 
-    def test_wall_drift_is_informational_by_default(self):
-        regressions, warnings = compare_payloads(
-            _payload(seconds=2.0), _payload(seconds=1.0)
-        )
-        assert regressions == []
-        assert warnings and "wall-clock" in warnings[0]
-
-    def test_wall_tolerance_gates_when_requested(self):
-        regressions, _ = compare_payloads(
-            _payload(seconds=2.0), _payload(seconds=1.0), wall_tolerance=0.25
-        )
-        assert regressions and "tolerance" in regressions[0]
-
-    def test_wall_within_tolerance_passes(self):
-        regressions, warnings = compare_payloads(
-            _payload(seconds=1.1), _payload(seconds=1.0), wall_tolerance=0.25
-        )
-        assert regressions == []
-        assert warnings
-
     def test_suite_mismatch_short_circuits(self):
-        regressions, _ = compare_payloads(_payload(suite="qf_nia"), _payload())
+        regressions = compare_payloads(_payload(suite="qf_nia"), _payload())
         assert regressions == ["suite mismatch: baseline 'smoke', current 'qf_nia'"]
 
 
@@ -302,6 +276,27 @@ class TestBenchCli:
         assert "identical" in capsys.readouterr().out
         assert main(["bench", "--replay", str(perturbed), "--compare", str(base)]) == 1
         assert "REGRESSIONS" in capsys.readouterr().out
+
+    def test_non_artifact_is_one_error_line(self, tmp_path, capsys):
+        base = tmp_path / "base.json"
+        write_artifact(_payload(), str(base))
+        not_json = tmp_path / "not.json"
+        not_json.write_text("not json\n", encoding="utf-8")
+        no_section = tmp_path / "x.json"
+        no_section.write_text('{"x": 1}\n', encoding="utf-8")
+        for bad in (not_json, no_section):
+            for argv in (
+                ["bench", "--replay", str(bad)],
+                ["bench", "--replay", str(base), "--compare", str(bad)],
+            ):
+                assert main(argv) == 1, argv
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                lines = captured.err.splitlines()
+                assert len(lines) == 1, lines
+                assert lines[0].startswith(
+                    f"error: {bad} is not a bench artifact ("
+                ), lines
 
     def test_python_dash_m_repro_matches_staub(self):
         env = dict(os.environ)
