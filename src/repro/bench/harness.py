@@ -153,17 +153,23 @@ def load_artifact(path):
 
     Raises:
         ValueError: naming ``path``, when the file is not a JSON object
-            with a ``deterministic`` object.
+            with everything ``staub bench`` reads of it: a ``suite``
+            string and a ``deterministic`` object whose ``totals`` object
+            holds ``cases`` and ``work``.
     """
     with open(path, "r", encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
         except ValueError as error:
             raise ValueError(f"{path} is not a bench artifact ({error})") from None
-    if not isinstance(payload, dict) or not isinstance(
-        payload.get("deterministic"), dict
-    ):
-        raise ValueError(
-            f"{path} is not a bench artifact (no 'deterministic' object)"
-        )
-    return payload
+    deterministic = payload.get("deterministic") if isinstance(payload, dict) else None
+    totals = deterministic.get("totals") if isinstance(deterministic, dict) else None
+    if not isinstance(deterministic, dict):
+        problem = "no 'deterministic' object"
+    elif not isinstance(payload.get("suite"), str):
+        problem = "no 'suite' string"
+    elif not isinstance(totals, dict) or not {"cases", "work"} <= totals.keys():
+        problem = "no 'deterministic.totals' with 'cases' and 'work'"
+    else:
+        return payload
+    raise ValueError(f"{path} is not a bench artifact ({problem})")

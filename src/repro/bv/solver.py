@@ -6,13 +6,15 @@ core. Statistics and the deterministic work counter flow back out so the
 evaluation harness can measure T_post reproducibly.
 
 Every bounded solve runs on a :class:`BoundedEngine`: blast once, then
-solve under a list of assumption literals. A one-shot solve checks once:
-with a solve cache attached it searches under one literal per assertion,
-so an unsat answer carries the core the cache stores (the core falls out
-of the one search, as in Cache-a-lot); uncached, it asserts hard clauses.
-A budget-bound verdict or a sat model may differ between the two.
-Sessions keep one engine alive and check it under whatever literals are
-live.
+solve under a list of assumption literals. A script's solve is a
+:class:`BoundedRun`: with a solve cache attached it searches under one
+literal per assertion, so an unsat answer carries the core the cache
+stores (the core falls out of the one search, as in Cache-a-lot);
+uncached, it asserts hard clauses. A budget-bound verdict or a sat model
+may differ between the two. A one-shot solve is a run solved once; the
+portfolio's bounded lane continues one run's paused search at each
+larger budget. Sessions keep one engine alive and check it under
+whatever literals are live.
 """
 
 from collections import namedtuple
@@ -208,7 +210,7 @@ class BoundedEngine:
         if self.solver.num_vars < cnf.num_vars:
             self.solver.grow_to(cnf.num_vars)
 
-    def check(self, owners, max_work=None):
+    def check(self, owners, max_work=None, resume=False):
         """Solve under the assumption literals that key ``owners``.
 
         Args:
@@ -219,6 +221,10 @@ class BoundedEngine:
                 this check is deducted from it first; a caller that
                 attaches with :meth:`_sync` beforehand keeps attaching
                 outside its budget.
+            resume: pause a search that reaches ``max_work``, and continue
+                the one an earlier ``resume`` check under the same owners
+                paused, with nothing attached in between (see
+                :meth:`repro.sat.solver.SatSolver.solve`).
 
         Returns:
             A :data:`BoundedCheck`.
@@ -234,7 +240,9 @@ class BoundedEngine:
             sat_budget = None
             if max_work is not None:
                 sat_budget = max(0, max_work - (solver.work() - base_work))
-            status = solver.solve(assumptions=list(owners), max_work=sat_budget)
+            status = solver.solve(
+                assumptions=list(owners), max_work=sat_budget, resume=resume
+            )
             if status == UNSAT:
                 # final_conflict() holds the negations of the failing
                 # assumption literals; it is empty when the search hit a
@@ -265,15 +273,77 @@ class BoundedEngine:
         )
 
 
+class BoundedRun:
+    """One bounded script's solve, continued across growing budgets.
+
+    The first :meth:`solve` blasts the script and attaches its CNF; each
+    later one continues the search that the previous one paused at its
+    work cap. The search is budget-prefix deterministic, so every answer
+    is exactly what a fresh solve at that budget gives. Solve again only
+    after an ``unknown``: a sat or unsat answer is final.
+
+    Args:
+        script: a :class:`~repro.smtlib.script.Script` whose variables are
+            all Bool or bitvector sorted.
+        core: search under one assumption literal per assertion instead
+            of hard clauses, so an unsat answer carries its core
+            (``BoundedResult.core``); callers with a solve cache pass True.
+
+    Raises:
+        UnsupportedLogicError: (from the first :meth:`solve`) the script
+            has unbounded or FP variables (FP solving goes through the
+            fixed-point encoding instead).
+    """
+
+    def __init__(self, script, core=False):
+        self.script = script
+        self.core = core
+        self._engine = None  # blasted and attached by the first solve
+        self._owners = None
+        self._blast_work = 0
+
+    def solve(self, max_work=None):
+        """Solve within ``max_work`` (blast included); a :class:`BoundedResult`
+        whose work and counters count from the start of the run (its
+        ``stats`` is the run's live counter object: the next solve moves
+        it)."""
+        engine = self._engine
+        if engine is None:
+            engine = BoundedEngine(self.script.declarations)
+            if guard.active().interrupted("bv"):
+                # The envelope is already exhausted (deadline/cancellation):
+                # don't even pay for blasting.
+                return BoundedResult("unknown", None, 0, engine.solver.stats, 0, 0)
+            self._blast_work, self._owners = engine.blast(
+                self.script.assertions, "bv", assume=self.core
+            )
+            # A run attaches outside its search budget.
+            engine._sync()
+            self._engine = engine
+        check = engine.check(
+            self._owners,
+            max_work=None if max_work is None else max_work - self._blast_work,
+            resume=True,
+        )
+        return BoundedResult(
+            check.status,
+            check.model,
+            self._blast_work + engine.solver.work(),
+            engine.solver.stats,
+            engine.cnf_vars,
+            engine.cnf_clauses,
+            None if check.core is None else tuple(sorted(check.core)),
+        )
+
+
 def solve_bounded_script(script, max_work=None, core=False):
-    """Solve a script whose variables are all Bool or bitvector sorted.
+    """Solve a script whose variables are all Bool or bitvector sorted:
+    a :class:`BoundedRun` solved once.
 
     Args:
         script: a :class:`~repro.smtlib.script.Script`.
         max_work: deterministic work budget; exhaustion gives ``unknown``.
-        core: search under one assumption literal per assertion instead
-            of hard clauses, so an unsat answer carries its core
-            (``BoundedResult.core``); callers with a solve cache pass True.
+        core: as for :class:`BoundedRun`.
 
     Returns:
         A :class:`BoundedResult`.
@@ -282,27 +352,7 @@ def solve_bounded_script(script, max_work=None, core=False):
         UnsupportedLogicError: the script has unbounded or FP variables
             (FP solving goes through the fixed-point encoding instead).
     """
-    engine = BoundedEngine(script.declarations)
-    if guard.active().interrupted("bv"):
-        # The envelope is already exhausted (deadline/cancellation):
-        # don't even pay for blasting.
-        return BoundedResult("unknown", None, 0, engine.solver.stats, 0, 0)
-
-    blast_work, owners = engine.blast(script.assertions, "bv", assume=core)
-    # A one-shot solve attaches outside its search budget.
-    engine._sync()
-    check = engine.check(
-        owners, max_work=None if max_work is None else max_work - blast_work
-    )
-    return BoundedResult(
-        check.status,
-        check.model,
-        blast_work + engine.solver.work(),
-        engine.solver.stats,
-        engine.cnf_vars,
-        engine.cnf_clauses,
-        None if check.core is None else tuple(sorted(check.core)),
-    )
+    return BoundedRun(script, core).solve(max_work)
 
 
 def assertion_core_digests(script, indices):

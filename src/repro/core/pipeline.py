@@ -4,7 +4,10 @@
 selection, transformation, bounded solving, verification. Its
 :meth:`Staub.run` returns an :class:`ArbitrageReport` with the
 paper's cost decomposition (T_trans, T_post, T_check) on the unified
-virtual clock, plus the Fig. 6 case that applied.
+virtual clock, plus the Fig. 6 case that applied. An
+:class:`ArbitrageRun` carries one constraint through the pipeline across
+growing budgets (the portfolio's bounded lane); a one-shot
+:meth:`Staub.run` is a run advanced once.
 
 Portfolio accounting against a baseline run (T_pre) lives in
 :func:`portfolio_time`: the user-observed cost is
@@ -15,7 +18,7 @@ original (Section 5.1).
 
 from repro import guard, telemetry
 from repro import cache as solve_cache
-from repro.bv.solver import assertion_core_digests, solve_bounded_script
+from repro.bv.solver import BoundedRun, assertion_core_digests
 from repro.cache.admission import Watch, lookup, record
 from repro.cache.keys import script_digests
 from repro.core.correspondence import FixedPointShape
@@ -136,6 +139,34 @@ def check_candidate(script, transformed, bounded_model):
     return CASE_SEMANTIC_DIFFERENCE, None, outcome.work
 
 
+class ArbitrageRun:
+    """One constraint's pass through :meth:`Staub.run`, continued across
+    growing budgets.
+
+    ``Staub.run(script, budget, resume=run)`` picks the run up where its
+    previous budget left it. The translation, the solve cache the bounded
+    side looks up and records into (the one active when it starts, which
+    also fixes the search mode), and the blasted engine with its paused
+    search are kept, so a larger budget only searches further. An answer
+    no larger budget changes (verified-sat, semantic-difference,
+    bounded-unsat, transform-failed) is handed back as it is. The bounded
+    search is budget-prefix deterministic, so every budget's report is
+    exactly a fresh run's at that budget. A one-shot :meth:`Staub.run` is
+    a run advanced once.
+    """
+
+    __slots__ = ("script", "translation", "store", "watch", "bounded", "t_post", "report")
+
+    def __init__(self, script):
+        self.script = script
+        self.translation = None  # (transformed, inference, t_trans, bounded script)
+        self.store = None
+        self.watch = None
+        self.bounded = None  # the BoundedRun, once the bounded side starts
+        self.t_post = 0  # what the bounded side has spent so far
+        self.report = None  # the answer no larger budget changes
+
+
 class Staub:
     """Configurable theory-arbitrage pre-processor.
 
@@ -224,115 +255,116 @@ class Staub:
             span.set_attr("width", result.width)
         return result, inference, t_trans
 
-    def run(self, script, budget=None):
+    def run(self, script, budget=None, resume=None):
         """Run the full pipeline on one unbounded script.
 
         Args:
             script: the original constraint.
             budget: unified work budget for the bounded solve.
+            resume: an :class:`ArbitrageRun` of ``script`` to continue at
+                this budget, which must not be smaller than the one it
+                last ran at; None runs once.
 
         Returns:
             An :class:`ArbitrageReport`.
         """
-        try:
-            transformed, inference, t_trans = self.transform(script)
-        except TransformError:
-            # The failed attempt still analyzed and translated the
-            # script; charging zero would undercount every retry loop
-            # that probes widths (the telemetry spans already record
-            # this work -- the report must agree with them).
-            return self._finish(
-                ArbitrageReport(
+        run = resume if resume is not None else ArbitrageRun(script)
+        if run.script is not script:
+            raise ValueError("an ArbitrageRun continues only its own script")
+        if run.report is not None:
+            return self._finish(run.report)
+        report = self._advance(run, budget)
+        if report.case != CASE_BOUNDED_UNKNOWN:
+            # No larger budget changes this answer: keep it, and let the
+            # engine go.
+            run.report, run.bounded = report, None
+        return self._finish(report)
+
+    def _advance(self, run, budget):
+        """One budget's worth of :meth:`run`: whatever ``run`` still needs."""
+        script = run.script
+        if run.translation is None:
+            try:
+                transformed, inference, t_trans = self.transform(script)
+            except TransformError:
+                # The failed attempt still analyzed and translated the
+                # script; charging zero would undercount every retry loop
+                # that probes widths (the telemetry spans already record
+                # this work -- the report must agree with them).
+                return ArbitrageReport(
                     CASE_TRANSFORM_FAILED,
                     t_trans=TRANSLATE_COST_PER_NODE * script.size(),
                 )
-            )
-
-        bounded_script = transformed.script
-        if self.optimizer is not None:
-            # RQ2: chain a bounded-constraint optimizer (SLOT) after the
-            # arbitrage; its cost is part of T_trans.
-            with telemetry.span("transform", phase="slot") as span:
-                bounded_script = self.optimizer(bounded_script)
-                extra = TRANSLATE_COST_PER_NODE * transformed.script.size()
-                t_trans += extra
-                span.add_work(extra)
+            bounded_script = transformed.script
+            if self.optimizer is not None:
+                # RQ2: chain a bounded-constraint optimizer (SLOT) after the
+                # arbitrage; its cost is part of T_trans.
+                with telemetry.span("transform", phase="slot") as span:
+                    bounded_script = self.optimizer(bounded_script)
+                    extra = TRANSLATE_COST_PER_NODE * transformed.script.size()
+                    t_trans += extra
+                    span.add_work(extra)
+            run.translation = (transformed, inference, t_trans, bounded_script)
+        transformed, inference, t_trans, bounded_script = run.translation
+        common = dict(
+            t_trans=t_trans,
+            width=transformed.width,
+            shape=transformed.shape,
+            inference=inference,
+        )
 
         if guard.active().interrupted("pipeline"):
             # The envelope died during transformation: degrade without
             # starting the bounded solve.
-            return self._finish(
-                ArbitrageReport(
-                    CASE_BOUNDED_UNKNOWN,
-                    t_trans=t_trans,
-                    width=transformed.width,
-                    shape=transformed.shape,
-                    inference=inference,
-                    bounded_status="unknown",
-                )
+            return ArbitrageReport(
+                CASE_BOUNDED_UNKNOWN, bounded_status="unknown", **common
             )
+
+        if run.bounded is None:
+            store = solve_cache.get_cache()
+            hit = lookup(
+                store, digests=lambda: script_digests(bounded_script), kind="arbitrage"
+            )
+            if hit is not None:
+                # A cached unsat core subsumes the transformed script: the
+                # bounded side is unsat with zero solver work, so the
+                # bounded-solve span never opens.
+                stats = hit.stats
+                stats["width"] = transformed.width
+                return ArbitrageReport(
+                    CASE_BOUNDED_UNSAT, bounded_status="unsat", stats=stats, **common
+                )
+            run.store, run.watch = store, Watch(guard.active())
+            run.bounded = BoundedRun(bounded_script, core=store is not None)
 
         remaining = None if budget is None else max(1, budget - t_trans)
-        store = solve_cache.get_cache()
-        hit = lookup(
-            store, digests=lambda: script_digests(bounded_script), kind="arbitrage"
-        )
-        if hit is not None:
-            # A cached unsat core subsumes the transformed script: the
-            # bounded side is unsat with zero solver work, so the
-            # bounded-solve span never opens.
-            stats = hit.stats
-            stats["width"] = transformed.width
-            return self._finish(
-                ArbitrageReport(
-                    CASE_BOUNDED_UNSAT,
-                    t_trans=t_trans,
-                    t_post=0,
-                    width=transformed.width,
-                    shape=transformed.shape,
-                    inference=inference,
-                    bounded_status="unsat",
-                    stats=stats,
-                )
-            )
-
-        watch = Watch(guard.active())
         with telemetry.span("bounded-solve", width=transformed.width) as span:
-            bounded = solve_bounded_script(
-                bounded_script, max_work=remaining, core=store is not None
-            )
+            bounded = run.bounded.solve(max_work=remaining)
             t_post = costs.from_sat(bounded.work)
             span.set_attr("status", bounded.status)
-            span.settle(t_post)
+            # A continued search charges the trace only what it added.
+            span.settle(t_post - run.t_post)
+        run.t_post = t_post
         stats = bounded.stats_dict()
         stats["width"] = transformed.width
-        common = dict(
-            t_trans=t_trans,
-            t_post=t_post,
-            width=transformed.width,
-            shape=transformed.shape,
-            inference=inference,
-            bounded_status=bounded.status,
-            stats=stats,
-        )
+        common.update(t_post=t_post, bounded_status=bounded.status, stats=stats)
 
         if bounded.status == "unknown":
-            return self._finish(ArbitrageReport(CASE_BOUNDED_UNKNOWN, **common))
+            return ArbitrageReport(CASE_BOUNDED_UNKNOWN, **common)
         if bounded.status == "unsat":
             # Original-unsat and bounds-insufficient are indistinguishable
             # (Fig. 6 case 1): revert.
             record(
-                store, watch, "unsat",
+                run.store, run.watch, "unsat",
                 core=lambda: (
                     bounded.core and assertion_core_digests(bounded_script, bounded.core)
                 ),
                 kind="arbitrage",
             )
-            return self._finish(ArbitrageReport(CASE_BOUNDED_UNSAT, **common))
+            return ArbitrageReport(CASE_BOUNDED_UNSAT, **common)
 
         case, candidate, t_check = check_candidate(script, transformed, bounded.model)
-        common["t_check"] = t_check
-        return self._finish(ArbitrageReport(case, model=candidate, **common))
+        return ArbitrageReport(case, model=candidate, t_check=t_check, **common)
 
     @staticmethod
     def _finish(report):

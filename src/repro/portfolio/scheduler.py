@@ -3,11 +3,15 @@
 Two execution models share one outcome shape:
 
 - :class:`InterleavingScheduler` -- the default, *deterministic* model.
-  Lanes are restarted round-robin with geometrically growing work-slice
-  budgets on the unified virtual clock, exactly the Luby-style restart
-  shape portfolio SAT solvers use. No wall clock, no OS scheduling:
-  the winner, every per-lane work figure, and all telemetry are
-  byte-identical across runs.
+  Lanes take turns round-robin with geometrically growing work-slice
+  budgets on the unified virtual clock, and the race is accounted as if
+  each lane restarted from nothing on every slice, the restart shape of
+  time-sliced sequential portfolios. Each lane keeps one run per race
+  and each round's attempt is exactly what a fresh run at that slice
+  would report, so a lane may resume instead of restarting (the bounded
+  lane continues one CDCL search) without moving any figure. No wall
+  clock, no OS scheduling: the winner, every per-lane work figure, and
+  all telemetry are byte-identical across runs.
 - :func:`parallel_race` -- real worker processes (a
   :class:`~repro.guard.pool.Pool`), for ``staub portfolio --jobs N``.
   The first conclusive answer wins and the losing processes are
@@ -77,8 +81,10 @@ class PortfolioOutcome:
         observed_work: the user-observed virtual cost -- lanes run
             concurrently, so each round contributes its longest slice,
             and the final round only the winner's finishing time.
-        total_work: everything actually spent across all lanes and
-            restarts (the "cluster cost").
+        total_work: the "cluster cost" of the restart model: the sum of
+            every attempt's work, as if each lane restarted from nothing
+            on every slice. A lane that resumes its run (the bounded
+            lane) does less work than this counts.
         rounds: number of work-slice rounds executed.
         history: per-round lists of :class:`Attempt`.
     """
@@ -140,11 +146,14 @@ def race_precomputed(attempts):
 
 
 class InterleavingScheduler:
-    """Deterministic round-robin portfolio over restartable lanes.
+    """Deterministic round-robin portfolio over lanes.
 
     Args:
-        tasks: lane objects exposing ``name`` and
-            ``attempt(script, budget) -> Attempt``.
+        tasks: lane objects exposing ``name`` and ``start(script)``, which
+            returns the lane's run on the script: a callable
+            ``run(budget) -> Attempt`` called once per round with a
+            budget at least the previous round's, whose attempt must be
+            what a fresh run at that budget gives.
         budget: overall per-lane work budget (None = a single unlimited
             round).
         initial_slice: first-round budget per lane.
@@ -170,12 +179,15 @@ class InterleavingScheduler:
     def run(self, script):
         """Race the lanes on one script; returns a :class:`PortfolioOutcome`.
 
-        Degradation semantics: a lane that raises a :class:`ReproError`
-        records an inconclusive ``"error"`` attempt; a lane that crashes
-        (:class:`~repro.guard.chaos.ChaosCrash`) is retried once on the
-        next -- exponentially larger -- slice, then dropped from the race
-        with a ``portfolio.lane_crashed`` counter. Surviving lanes keep
-        racing; the race itself never raises.
+        Each lane starts one run when the race starts and the rounds
+        advance it. Degradation semantics: a lane that raises a
+        :class:`ReproError` records an inconclusive ``"error"`` attempt; a
+        lane that crashes (:class:`~repro.guard.chaos.ChaosCrash`) is
+        retried once on the next -- exponentially larger -- slice, then
+        dropped from the race with a ``portfolio.lane_crashed`` counter.
+        Either way the failed run is discarded and the lane's next slice
+        starts a fresh one. Surviving lanes keep racing; the race itself
+        never raises.
         """
         history = []
         total = 0
@@ -185,6 +197,7 @@ class InterleavingScheduler:
             slice_budget = min(self.initial_slice, self.budget)
         governor = guard.active()
         active_tasks = list(self.tasks)
+        runs = {}
         crashes = {}
         winner = None
         with telemetry.span("portfolio", lanes=len(self.tasks)) as span:
@@ -193,7 +206,7 @@ class InterleavingScheduler:
                 retry_pending = False
                 for task in list(active_tasks):
                     attempt = self._attempt_lane(
-                        task, script, slice_budget, crashes, active_tasks
+                        task, script, slice_budget, runs, crashes, active_tasks
                     )
                     if attempt.status == "crashed" and task in active_tasks:
                         retry_pending = True
@@ -226,11 +239,16 @@ class InterleavingScheduler:
         return outcome
 
     @staticmethod
-    def _attempt_lane(task, script, slice_budget, crashes, active_tasks):
-        """One lane, one slice -- errors and crashes degrade to attempts."""
+    def _attempt_lane(task, script, slice_budget, runs, crashes, active_tasks):
+        """One lane, one slice on the lane's run -- errors and crashes
+        degrade to attempts and discard the run."""
         try:
-            return task.attempt(script, slice_budget)
+            run = runs.get(task)
+            if run is None:
+                run = runs[task] = task.start(script)
+            return run(slice_budget)
         except chaos.ChaosCrash:
+            runs.pop(task, None)
             count = crashes.get(task.name, 0) + 1
             crashes[task.name] = count
             if count > CRASH_RETRIES:
@@ -238,6 +256,7 @@ class InterleavingScheduler:
                 telemetry.counter_add("portfolio.lane_crashed", lane=task.name)
             return Attempt(task.name, "crashed", False, 0)
         except ReproError:
+            runs.pop(task, None)
             telemetry.counter_add(
                 "solver.internal_error", site="portfolio", lane=task.name
             )

@@ -20,7 +20,10 @@ A faithful MiniSat-style architecture in pure Python:
   core) extraction over the assumption set;
 - a deterministic work budget (propagation count) so that "timeouts" are
   reproducible across machines -- the evaluation harness uses this as its
-  virtual clock.
+  virtual clock. The search is budget-prefix deterministic (the cap only
+  decides where it stops), so ``solve(resume=True)`` can pause a search
+  at its cap and later continue it on exactly the trajectory of one
+  search with the larger cap.
 
 Literals use the DIMACS convention externally (``v`` / ``-v``) and are
 mapped internally to ``2*(v-1)`` / ``2*(v-1)+1``.
@@ -248,6 +251,7 @@ class SatSolver:
         self._deep_max_trail = 0
         self._deep_max_level = 0
         self._final_conflict = []
+        self._paused = None  # (key, search) of a search paused at its work cap
         self.grow_to(num_vars)
         if cnf is not None:
             self.grow_to(cnf.num_vars)
@@ -262,6 +266,7 @@ class SatSolver:
         exactly what a sequence of ``_order.push`` calls would produce
         (a zero-activity leaf never sifts up past its parent).
         """
+        self._abandon()
         count = num_vars - self.num_vars
         if count <= 0:
             return
@@ -304,6 +309,7 @@ class SatSolver:
     def add_clause(self, literals):
         """Add a problem clause (DIMACS literals). Returns False if the
         solver becomes trivially unsatisfiable."""
+        self._abandon()
         if not self._ok:
             return False
         if self._trail_lim:
@@ -341,6 +347,7 @@ class SatSolver:
         """
         if self._cnf is None:
             raise SolverError("attach() requires a solver constructed with cnf=")
+        self._abandon()
         if start is None:
             start = self._attached
         cnf = self._cnf
@@ -887,6 +894,7 @@ class SatSolver:
         conflict analysis stay sound in between. Returns True when the
         clause was removed immediately, False when deferred.
         """
+        self._abandon()
         if ref in self._pending_detach:
             return False
         if self.is_locked(ref):
@@ -994,7 +1002,7 @@ class SatSolver:
                 return 2 * top + (1 - self._phase[top])
         return None
 
-    def solve(self, assumptions=(), max_conflicts=None, max_work=None):
+    def solve(self, assumptions=(), max_conflicts=None, max_work=None, resume=False):
         """Search for a model.
 
         Args:
@@ -1002,6 +1010,14 @@ class SatSolver:
             max_conflicts: optional conflict budget for this call.
             max_work: optional deterministic work budget for this call
                 (see :meth:`SatStats.work`).
+            resume: keep a search that reaches ``max_work`` paused, trail
+                and all, instead of abandoning it at level 0. The next
+                ``resume`` call with the same assumptions and conflict cap
+                continues it, its ``max_work`` counting from where the
+                paused search started, on exactly the trajectory of one
+                search with that cap. :meth:`add_clause`, :meth:`attach`,
+                :meth:`grow_to`, :meth:`detach_clause` and every other
+                call of this method discard a paused search first.
 
         Returns:
             ``SAT``, ``UNSAT``, or ``UNKNOWN`` (budget exhausted).
@@ -1017,11 +1033,11 @@ class SatSolver:
             self._final_conflict = []
             return UNSAT
         if not telemetry.enabled:
-            return self._search(assumptions, max_conflicts, max_work)
+            return self._drive(assumptions, max_conflicts, max_work, resume)
         before = self.stats.as_dict()
         self._deep_max_trail = 0
         self._deep_max_level = 0
-        result = self._search(assumptions, max_conflicts, max_work)
+        result = self._drive(assumptions, max_conflicts, max_work, resume)
         after = self.stats.as_dict()
         telemetry.record_counters(
             {key: after[key] - before[key] for key in after},
@@ -1032,8 +1048,42 @@ class SatSolver:
         telemetry.observe("sat.level_peak", self._deep_max_level, engine="sat")
         return result
 
+    def _drive(self, assumptions, max_conflicts, max_work, resume):
+        """Start a search, or continue the paused one; at its work cap,
+        pause it (``resume``) or abandon it at level 0."""
+        paused, self._paused = self._paused, None
+        key = (tuple(assumptions), max_conflicts) if resume else None
+        try:
+            if paused is not None and paused[0] == key:
+                search = paused[1]
+                search.send((self, max_work))
+            else:
+                search = self._search(assumptions, max_conflicts, max_work)
+                next(search)
+        except StopIteration as finished:
+            return finished.value
+        if resume:
+            self._paused = (key, search)
+        else:
+            self._backtrack(0)
+        return UNKNOWN
+
+    def _abandon(self):
+        """Drop a paused search at level 0, as a capped :meth:`solve` does."""
+        if self._paused is not None:
+            self._paused = None
+            self._backtrack(0)
+
     def _search(self, assumptions=(), max_conflicts=None, max_work=None):
-        """The CDCL search loop behind :meth:`solve`."""
+        """The CDCL search loop behind :meth:`solve`, as a generator.
+
+        It returns the search's status, except at the work cap: there it
+        yields with the trail intact, and sending it ``(solver, max_work)``
+        continues it to the new cap (see :meth:`_drive`). While paused,
+        the frame lets go of ``self``: the solver holds the paused search,
+        and a reference back would keep a dropped solver alive until the
+        cycle collector ran.
+        """
         # Reset before the permanent-UNSAT check: a re-solve after a root
         # conflict must not report the previous call's assumption core.
         self._final_conflict = []
@@ -1045,8 +1095,9 @@ class SatSolver:
             self.grow_to((literal >> 1) + 1)
 
         stats = self.stats
-        # Both caps count from the start of this call: the conflict cap
-        # becomes a threshold on the lifetime count.
+        # Both caps count from the start of this search, which a continued
+        # search keeps: the conflict cap becomes a threshold on the
+        # lifetime count.
         base_work = stats.work()
         if max_conflicts is not None:
             max_conflicts += stats.conflicts
@@ -1083,9 +1134,10 @@ class SatSolver:
                 if max_conflicts is not None and stats.conflicts >= max_conflicts:
                     self._backtrack(0)
                     return UNKNOWN
-                if max_work is not None and stats.work() - base_work >= max_work:
-                    self._backtrack(0)
-                    return UNKNOWN
+                while max_work is not None and stats.work() - base_work >= max_work:
+                    self = None
+                    self, max_work = yield
+                    governor, deep = guard.active(), telemetry.enabled
                 if governor.interrupted("sat"):
                     self._backtrack(0)
                     return UNKNOWN
@@ -1122,9 +1174,10 @@ class SatSolver:
                 stats.decisions += 1
             self._trail_lim.append(len(self._trail))
             self._enqueue(decision, _NO_REASON)
-            if max_work is not None and stats.work() - base_work >= max_work:
-                self._backtrack(0)
-                return UNKNOWN
+            while max_work is not None and stats.work() - base_work >= max_work:
+                self = None
+                self, max_work = yield
+                governor, deep = guard.active(), telemetry.enabled
             if governor.interrupted("sat"):
                 self._backtrack(0)
                 return UNKNOWN

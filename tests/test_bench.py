@@ -298,6 +298,34 @@ class TestBenchCli:
                     f"error: {bad} is not a bench artifact ("
                 ), lines
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"deterministic": {}}',
+            '{"suite": "smoke", "deterministic": {"totals": {}}}',
+        ],
+        ids=["no-suite", "no-totals-cases"],
+    )
+    def test_artifact_without_summary_fields_is_one_error_line(
+        self, tmp_path, capsys, text
+    ):
+        # A `deterministic` object alone is not enough: the summary line
+        # reads `suite` and `totals.cases`/`totals.work`.
+        base = tmp_path / "base.json"
+        write_artifact(_payload(), str(base))
+        bad = tmp_path / "bad.json"
+        bad.write_text(text + "\n", encoding="utf-8")
+        for argv in (
+            ["bench", "--replay", str(bad)],
+            ["bench", "--replay", str(base), "--compare", str(bad)],
+        ):
+            assert main(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1, lines
+            assert lines[0].startswith(f"error: {bad} is not a bench artifact ("), lines
+
     def test_python_dash_m_repro_matches_staub(self):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(

@@ -83,9 +83,9 @@ def _spy_searches(monkeypatch):
     searches = []
     solve = SatSolver.solve
 
-    def spy(solver, assumptions=(), max_conflicts=None, max_work=None):
+    def spy(solver, assumptions=(), max_conflicts=None, max_work=None, **options):
         searches.append((max_work, solver.work()))
-        return solve(solver, assumptions, max_conflicts, max_work)
+        return solve(solver, assumptions, max_conflicts, max_work, **options)
 
     monkeypatch.setattr(SatSolver, "solve", spy)
     return searches

@@ -1,17 +1,24 @@
 """Portfolio scheduler tests: determinism, winner semantics, --jobs parity."""
 
 import json
+import os
 
 import pytest
 
 from repro import telemetry
+from repro.benchgen import suite_for
 from repro.core.pipeline import (
     CASE_BOUNDED_UNSAT,
     CASE_VERIFIED_SAT,
     ArbitrageReport,
+    Staub,
     portfolio_time,
 )
+from repro.errors import SolverError
+from repro.guard.chaos import ChaosCrash
 from repro.portfolio.scheduler import (
+    DEFAULT_GROWTH,
+    DEFAULT_SLICE,
     Attempt,
     InterleavingScheduler,
     PrecomputedAttempt,
@@ -237,3 +244,115 @@ class TestParallelRace:
     def test_empty_portfolio_rejected(self):
         with pytest.raises(ValueError):
             parallel_race([], parse_script(CUBES))
+
+
+MOTIVATING = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "examples",
+    "motivating.smt2",
+)
+
+
+def _report_fingerprint(report):
+    return (
+        report.case,
+        report.total_work,
+        report.width,
+        report.bounded_status,
+        report.model,
+    )
+
+
+class TestResumedLanes:
+    """A lane keeps one run per race; every round still reports exactly
+    what the restart model's fresh attempt at that slice reports."""
+
+    def _scripts(self):
+        scripts = [b.script for b in suite_for("QF_NIA", seed=2024, scale=0.15)]
+        with open(MOTIVATING, "r", encoding="utf-8") as handle:
+            scripts.append(parse_script(handle.read()))
+        return scripts
+
+    def test_each_round_of_the_bounded_lane_equals_a_fresh_run(self):
+        budget = 200_000
+        resumed = 0
+        for script in self._scripts():
+            outcome = InterleavingScheduler(default_tasks(), budget=budget).run(script)
+            for index, attempts in enumerate(outcome.history):
+                slice_budget = min(DEFAULT_SLICE * DEFAULT_GROWTH**index, budget)
+                (attempt,) = [a for a in attempts if a.lane == "staub/staub"]
+                fresh = Staub().run(script, budget=slice_budget)
+                assert _report_fingerprint(attempt.payload) == _report_fingerprint(
+                    fresh
+                ), (index, slice_budget)
+                assert attempt.work == fresh.total_work
+                resumed += index > 0
+        assert resumed  # some race continued its bounded lane past round 1
+
+    def test_a_resumed_search_traces_only_the_work_it_adds(self):
+        # Each bounded-solve span of a race charges what that round added,
+        # so together they come to the bounded lane's last t_post, not
+        # the restart model's sum over rounds.
+        spans = []
+        telemetry.enable(sink=spans.append)
+        outcome = InterleavingScheduler(default_tasks(), budget=200_000).run(
+            self._scripts()[-1]
+        )
+        telemetry.disable()
+        reports = [
+            a.payload for attempts in outcome.history for a in attempts
+            if a.lane == "staub/staub"
+        ]
+        traced = [s["work"] for s in spans if s["name"] == "bounded-solve"]
+        assert len(traced) == len(reports) > 1
+        assert sum(traced) == reports[-1].t_post
+
+    @pytest.mark.parametrize(
+        "error", [ChaosCrash("injected"), SolverError("injected")], ids=repr
+    )
+    def test_a_failed_run_is_discarded_and_the_retry_starts_fresh(self, error):
+        lane = _FailOnceLane(error)
+        outcome = InterleavingScheduler(
+            [lane], budget=4 * 4 * 1024, initial_slice=1024
+        ).run(parse_script(CUBES))
+        failed = "crashed" if isinstance(error, ChaosCrash) else "error"
+        statuses = [a.status for round_attempts in outcome.history for a in round_attempts]
+        assert statuses == [failed, "unknown", "unknown"]
+        # Run 1 failed on its first slice; run 2 starts on the next slice
+        # and is advanced from then on.
+        assert lane.calls == [(1, 1024), (2, 4096), (2, 16384)]
+
+
+class _FailOnceLane:
+    """A stub lane whose first run fails on its first slice."""
+
+    def __init__(self, error):
+        self.name = "stub"
+        self.error = error
+        self.calls = []  # (run number, budget) per slice
+        self.runs = 0
+
+    def start(self, script):
+        self.runs += 1
+        number = self.runs
+
+        def run(budget):
+            self.calls.append((number, budget))
+            if number == 1:
+                raise self.error
+            return Attempt(self.name, "unknown", False, budget)
+
+        return run
+
+
+class TestLaneConfiguration:
+    @pytest.mark.parametrize("strategy", ["nope", "fixedx", "fixed0", 0])
+    def test_bad_width_strategy_raises_when_the_lane_is_built(self, strategy):
+        # Before any race starts: a race never raises, so a bad
+        # configuration must fail here rather than after a first slice.
+        with pytest.raises(ValueError):
+            InterleavingScheduler([BaselineTask("zorro"), ArbitrageTask(strategy)])
+
+    def test_fixed_width_strategies_build(self):
+        assert ArbitrageTask("fixed8").name == "staub/fixed8"
+        assert ArbitrageTask(8).name == "staub/8"

@@ -4,9 +4,18 @@ Incremental sessions (:mod:`repro.solver.session`) lean on three
 SatSolver behaviors that the one-shot tests never exercise: interleaving
 ``solve(assumptions)`` with ``add_clause``, the final-conflict
 (assumption core) staying correct across re-solves, and the permanent
-root-UNSAT state. These tests pin them down directly at the SAT layer.
+root-UNSAT state. The portfolio's bounded lane leans on a fourth: a
+search paused at its work cap continues exactly as one search with the
+larger cap. These tests pin them down directly at the SAT layer.
 """
 
+import gc
+import weakref
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.sat.cnf import CNF
 from repro.sat.solver import SAT, UNKNOWN, UNSAT, SatSolver
 
 
@@ -144,23 +153,24 @@ class TestPermanentUnsat:
         assert solver.stats.as_dict() == before
 
 
-class TestLearnedClauseRetention:
-    def _pigeonhole(self, holes):
-        """PHP(holes+1, holes): small, UNSAT, conflict-rich."""
-        solver = SatSolver(0)
-        pigeons = holes + 1
-        var = lambda p, h: 1 + p * holes + h
-        solver.grow_to(pigeons * holes)
-        for p in range(pigeons):
-            solver.add_clause([var(p, h) for h in range(holes)])
-        for h in range(holes):
-            for p1 in range(pigeons):
-                for p2 in range(p1 + 1, holes + 1):
-                    solver.add_clause([-var(p1, h), -var(p2, h)])
-        return solver, var
+def _pigeonhole(holes):
+    """PHP(holes+1, holes): small, UNSAT, conflict-rich."""
+    solver = SatSolver(0)
+    pigeons = holes + 1
+    var = lambda p, h: 1 + p * holes + h
+    solver.grow_to(pigeons * holes)
+    for p in range(pigeons):
+        solver.add_clause([var(p, h) for h in range(holes)])
+    for h in range(holes):
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, holes + 1):
+                solver.add_clause([-var(p1, h), -var(p2, h)])
+    return solver, var
 
+
+class TestLearnedClauseRetention:
     def test_learned_clauses_survive_solve_calls(self):
-        solver, var = self._pigeonhole(4)
+        solver, var = _pigeonhole(4)
         # Assume one placement away from triviality so the conflict is
         # assumption-level, not root-level, and the solver stays alive.
         assert solver.solve(assumptions=[var(0, 0)]) == UNSAT
@@ -178,10 +188,124 @@ class TestLearnedClauseRetention:
         # Regression: the cap was compared with the solver's lifetime
         # conflict count, so once one capped call had spent it every
         # later capped call stopped at its first conflict.
-        solver, _ = self._pigeonhole(6)
+        solver, _ = _pigeonhole(6)
         spent = []
         for _ in range(4):
             before = solver.stats.conflicts
             assert solver.solve(max_conflicts=8) == UNKNOWN
             spent.append(solver.stats.conflicts - before)
         assert spent == [8, 8, 8, 8]
+
+
+NUM_VARS = 14
+
+_literal = st.integers(1, NUM_VARS).flatmap(lambda var: st.sampled_from([var, -var]))
+# Random 3-SAT near the threshold: about half the searches are still
+# running at a cap of 60 work units, so about half the examples pause.
+_clauses = st.lists(st.lists(_literal, min_size=3, max_size=3), min_size=40, max_size=65)
+_assumptions = st.lists(_literal, max_size=3)
+
+
+def _attached(clauses):
+    """A solver attached in place to a CNF of ``clauses``."""
+    cnf = CNF()
+    for clause in clauses:
+        cnf.add_clause(clause)
+    solver = SatSolver(cnf=cnf)
+    solver.attach()
+    return solver, cnf
+
+
+def _outcome(solver, status):
+    """Everything a continued search must reproduce."""
+    return (
+        status,
+        solver.model() if status == SAT else None,
+        solver.stats.as_dict(),
+        solver.learned_count(),
+        solver.final_conflict(),
+    )
+
+
+def _between(op, solver, cnf, extra):
+    """One call that must discard a paused search."""
+    if op == "add_clause":
+        solver.add_clause(extra)
+    elif op == "attach":
+        cnf.add_clause(extra)
+        solver.attach()
+    elif op == "grow_to":
+        solver.grow_to(solver.num_vars + 2)
+    else:
+        solver.solve(max_work=40)
+
+
+class TestContinuedSearch:
+    """``solve(resume=True)`` against the oracle of one fresh search."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        clauses=_clauses,
+        assumptions=_assumptions,
+        first=st.integers(0, 60),
+        more=st.integers(0, 400),
+    )
+    def test_continuation_equals_one_search_with_the_larger_cap(
+        self, clauses, assumptions, first, more
+    ):
+        paused, _ = _attached(clauses)
+        status = paused.solve(assumptions, max_work=first, resume=True)
+        if status == UNKNOWN:
+            status = paused.solve(assumptions, max_work=first + more, resume=True)
+        fresh, _ = _attached(clauses)
+        expected = fresh.solve(assumptions, max_work=first + more)
+        assert _outcome(paused, status) == _outcome(fresh, expected)
+
+    @pytest.mark.parametrize("op", ["add_clause", "attach", "grow_to", "solve"])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        clauses=_clauses,
+        assumptions=_assumptions,
+        first=st.integers(0, 60),
+        more=st.integers(0, 400),
+        extra=st.lists(_literal, min_size=2, max_size=3),
+    )
+    def test_a_call_in_between_discards_the_paused_search(
+        self, op, clauses, assumptions, first, more, extra
+    ):
+        # The paused solver's next continuation starts fresh, exactly as
+        # on a solver whose capped search was abandoned at level 0.
+        outcomes = []
+        for resume in (True, False):
+            solver, cnf = _attached(clauses)
+            solver.solve(assumptions, max_work=first, resume=resume)
+            _between(op, solver, cnf, extra)
+            status = solver.solve(assumptions, max_work=first + more, resume=resume)
+            outcomes.append(_outcome(solver, status))
+        assert outcomes[0] == outcomes[1]
+
+    def test_other_assumptions_start_a_fresh_search(self):
+        solver, _ = _pigeonhole(5)
+        assert solver.solve([1], max_work=200, resume=True) == UNKNOWN
+        abandoned, _ = _pigeonhole(5)
+        assert abandoned.solve([1], max_work=200) == UNKNOWN
+        assert solver.solve([2], max_work=400, resume=True) == abandoned.solve(
+            [2], max_work=400
+        )
+        assert solver.stats.as_dict() == abandoned.stats.as_dict()
+
+    def test_a_paused_search_does_not_keep_its_solver_alive(self):
+        # The solver holds its paused search; the search must not hold
+        # the solver back, or a dropped solver would wait for the cycle
+        # collector.
+        solver, _ = _pigeonhole(5)
+        assert solver.solve(max_work=200, resume=True) == UNKNOWN
+        alive = weakref.ref(solver)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del solver
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
