@@ -13,8 +13,6 @@ that soundness is what the ICP solvers rely on and what the property
 tests assert.
 """
 
-from fractions import Fraction
-
 from repro import guard, telemetry
 from repro.arith.interval import EMPTY, Interval
 from repro.errors import SolverError
@@ -92,7 +90,7 @@ class Box:
         a point (the box is fully decided).
         """
         best_name = None
-        best_width = Fraction(-1)
+        best_width = -1
         for name in sorted(self.intervals):
             interval = self.intervals[name]
             if interval.is_point or interval.is_empty:
@@ -139,6 +137,7 @@ class Contractor:
         self.work = 0
         self.contractions = 0
         self._integer = integer_sorted
+        self._post_orders = {}  # term id -> the term's subterms, post-order
 
     def _is_int(self, term):
         return term.sort is INT
@@ -146,7 +145,10 @@ class Contractor:
     # -- forward ---------------------------------------------------------
 
     def _forward(self, term, box, memo):
-        for sub in term.subterms():
+        order = self._post_orders.get(term.tid)
+        if order is None:
+            order = self._post_orders[term.tid] = list(term.subterms())
+        for sub in order:
             if sub.tid in memo:
                 continue
             self.work += 1
@@ -158,7 +160,7 @@ class Contractor:
         if op is Op.CONST:
             if isinstance(term.value, bool):
                 return Interval.top()
-            return Interval.point(Fraction(term.value))
+            return Interval.point(term.value)
         if op is Op.VAR:
             if term.sort.is_int or term.sort.is_real:
                 interval = box.get(term.name)
@@ -202,10 +204,10 @@ class Contractor:
             if divisor.hi is None:
                 upper = None
             else:
-                upper = max(divisor.hi - 1, Fraction(0))
+                upper = max(divisor.hi - 1, 0)
             result = Interval(0, upper)
             # Total semantics: mod by zero returns the dividend.
-            if args[1].contains(Fraction(0)):
+            if args[1].contains(0):
                 result = result.hull(args[0])
             return result
         if op is Op.ITE:
@@ -273,7 +275,7 @@ class Contractor:
                 # division: when the other factors admit zero and the
                 # target admits zero, this factor is unconstrained
                 # (0 * anything = 0), so do not narrow it.
-                if others.contains(Fraction(0)) and target.contains(Fraction(0)):
+                if others.contains(0) and target.contains(0):
                     continue
                 power_target = target.divide(others)
                 self._narrow(
@@ -295,7 +297,7 @@ class Contractor:
             numerator, denominator = args
             denominator_value = memo[denominator.tid]
             # target = n / d  =>  n = target * d (valid when d avoids 0).
-            if not denominator_value.contains(Fraction(0)):
+            if not denominator_value.contains(0):
                 self._narrow(numerator, target * denominator_value, box, memo, queue)
             return
         if op is Op.TO_REAL:

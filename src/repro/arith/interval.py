@@ -1,10 +1,18 @@
 """Exact interval arithmetic over rationals with infinite endpoints.
 
-Endpoints are :class:`~fractions.Fraction` or ``None`` (meaning -oo for
-lower, +oo for upper). All operations are *conservative*: the result
-interval contains every possible value of the operation over the operand
-intervals, which is the soundness requirement for the ICP solvers built on
-top (a contraction may fail to narrow, but must never drop a solution).
+An endpoint is ``None`` (meaning -oo for lower, +oo for upper), an
+``int`` or a :class:`~fractions.Fraction`, stored exactly as given; a
+bool or a float is converted to a ``Fraction``. Both representations of
+one value behave the same in every operation, so integer arithmetic on
+the integer boxes of a QF_NIA search never builds a ``Fraction``: the
+only operations that leave the integers are the ones that divide
+(``midpoint``, ``divide`` and the rational n-th root bounds), and they
+build their quotients as ``Fraction``s.
+
+All operations are *conservative*: the result interval contains every
+possible value of the operation over the operand intervals, which is the
+soundness requirement for the ICP solvers built on top (a contraction
+may fail to narrow, but must never drop a solution).
 """
 
 from fractions import Fraction
@@ -20,11 +28,13 @@ class Interval:
     __slots__ = ("lo", "hi", "_empty")
 
     def __init__(self, lo=None, hi=None, _empty=False):
-        self.lo = Fraction(lo) if lo is not None else None
-        self.hi = Fraction(hi) if hi is not None else None
-        self._empty = _empty
-        if not _empty and self.lo is not None and self.hi is not None and self.lo > self.hi:
-            self._empty = True
+        if lo is not None and type(lo) is not int and type(lo) is not Fraction:
+            lo = Fraction(lo)
+        if hi is not None and type(hi) is not int and type(hi) is not Fraction:
+            hi = Fraction(hi)
+        self.lo = lo
+        self.hi = hi
+        self._empty = _empty or (lo is not None and hi is not None and lo > hi)
 
     # -- constructors ---------------------------------------------------
 
@@ -34,7 +44,7 @@ class Interval:
 
     @classmethod
     def top(cls):
-        return cls(None, None)
+        return TOP
 
     @property
     def is_empty(self):
@@ -51,7 +61,7 @@ class Interval:
     def width(self):
         """hi - lo; None when unbounded, 0 for points and empty."""
         if self._empty:
-            return Fraction(0)
+            return 0
         if self.lo is None or self.hi is None:
             return None
         return self.hi - self.lo
@@ -70,12 +80,12 @@ class Interval:
         if self._empty:
             raise ValueError("empty interval has no midpoint")
         if self.lo is not None and self.hi is not None:
-            return (self.lo + self.hi) / 2
+            return Fraction(self.lo + self.hi, 2)
         if self.lo is not None:
             return self.lo + 1
         if self.hi is not None:
             return self.hi - 1
-        return Fraction(0)
+        return 0
 
     # -- lattice --------------------------------------------------------
 
@@ -151,11 +161,17 @@ class Interval:
         """Conservative interval division (0 in divisor widens to top)."""
         if self._empty or other._empty:
             return EMPTY
-        if other.contains(Fraction(0)):
+        if other.contains(0):
             if other.is_zero_point():
                 # Division by exactly zero: total semantics give 0.
                 return Interval.point(0)
             return Interval.top()
+        if self.is_bounded and other.is_bounded:
+            # The divisor has one sign, so the extremes are corner quotients.
+            quotients = [
+                _quotient(a, b) for a in (self.lo, self.hi) for b in (other.lo, other.hi)
+            ]
+            return Interval(min(quotients), max(quotients))
         reciprocal_lo = None if other.hi is None else Fraction(1) / other.hi
         reciprocal_hi = None if other.lo is None else Fraction(1) / other.lo
         return self * Interval(reciprocal_lo, reciprocal_hi)
@@ -221,12 +237,14 @@ class Interval:
         """Shrink to the integer sub-lattice (ceil lower, floor upper)."""
         if self._empty:
             return EMPTY
-        lo = None
-        hi = None
-        if self.lo is not None:
-            lo = -((-self.lo.numerator) // self.lo.denominator)  # ceil
-        if self.hi is not None:
-            hi = self.hi.numerator // self.hi.denominator  # floor
+        lo = self.lo
+        hi = self.hi
+        if lo is not None and type(lo) is not int:
+            lo = -((-lo.numerator) // lo.denominator)  # ceil
+        if hi is not None and type(hi) is not int:
+            hi = hi.numerator // hi.denominator  # floor
+        if lo is self.lo and hi is self.hi:
+            return self
         if lo is not None and hi is not None and lo > hi:
             return EMPTY
         return Interval(lo, hi)
@@ -302,6 +320,13 @@ class Interval:
         return f"[{lo}, {hi}]"
 
 
+def _quotient(a, b):
+    """``a / b`` exactly: an ``int`` when both are ints and ``b`` divides ``a``."""
+    if type(a) is int and type(b) is int and a % b == 0:
+        return a // b
+    return Fraction(a, b)
+
+
 def _product_sign(left, a, a_inf, right, b, b_inf):
     """Sign of the product corner a*b when at least one factor is infinite.
 
@@ -341,8 +366,12 @@ def integer_nth_root(value, degree):
 
 
 def nth_root_upper(value, degree):
-    """A rational upper bound on ``value ** (1/degree)`` (conservative)."""
-    value = Fraction(value)
+    """A rational upper bound on ``value ** (1/degree)`` (conservative).
+
+    An ``int`` when ``value`` is integral.
+    """
+    if type(value) is not int:
+        value = Fraction(value)
     if value < 0:
         if degree % 2 == 0:
             raise ValueError("even root of a negative value")
@@ -351,21 +380,27 @@ def nth_root_upper(value, degree):
     root = integer_nth_root(scaled, degree)
     if root**degree < scaled:
         root += 1
-    return Fraction(root, value.denominator)
+    return _quotient(root, value.denominator)
 
 
 def nth_root_lower(value, degree):
-    """A rational lower bound on ``value ** (1/degree)`` (conservative)."""
-    value = Fraction(value)
+    """A rational lower bound on ``value ** (1/degree)`` (conservative).
+
+    An ``int`` when ``value`` is integral.
+    """
+    if type(value) is not int:
+        value = Fraction(value)
     if value < 0:
         if degree % 2 == 0:
             raise ValueError("even root of a negative value")
         return -nth_root_upper(-value, degree)
     scaled = value.numerator * value.denominator ** (degree - 1)
     root = integer_nth_root(scaled, degree)
-    return Fraction(root, value.denominator)
+    return _quotient(root, value.denominator)
 
 
 #: The canonical empty interval.
-EMPTY = Interval(0, 0)
-EMPTY._empty = True
+EMPTY = Interval(0, 0, _empty=True)
+
+#: The unbounded interval; intervals are never mutated, so one serves all.
+TOP = Interval(None, None)

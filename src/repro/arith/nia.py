@@ -15,8 +15,6 @@ yields ``unknown`` -- exactly the behaviour the paper ascribes to
 unbounded-theory solvers, and the reason theory arbitrage has room to win.
 """
 
-from fractions import Fraction
-
 from repro import guard, telemetry
 from repro.arith.contractor import Box, Contractor, literals_to_atoms
 from repro.arith.interval import Interval
@@ -69,6 +67,7 @@ class NiaSolver:
         self._names = sorted(
             name for name, sort in self.declarations.items() if sort is INT
         )
+        self._literal_cost = sum(literal.size() for literal in self.literals)
         self._contractors = []
 
     def _new_contractor(self):
@@ -86,7 +85,7 @@ class NiaSolver:
     # -- exact point checking ----------------------------------------------
 
     def _check_point(self, assignment):
-        self.work += sum(literal.size() for literal in self.literals)
+        self.work += self._literal_cost
         try:
             return all(evaluate(literal, assignment) for literal in self.literals)
         except ReproError as error:

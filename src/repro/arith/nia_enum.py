@@ -64,10 +64,8 @@ class NiaEnumSolver:
         if radius == 0:
             yield {name: 0 for name in names}
             return
-        span = range(-radius, radius + 1)
-        for values in itertools.product(span, repeat=len(names)):
-            if max(abs(value) for value in values) == radius:
-                yield dict(zip(names, values))
+        for values in _shell(len(names), radius):
+            yield dict(zip(names, values))
 
     def solve(self, budget=None):
         """Enumerate shells until a model is found or the budget dies."""
@@ -121,6 +119,23 @@ class NiaEnumSolver:
             interval = box.get(name)
             radius = max(radius, abs(int(interval.lo)), abs(int(interval.hi)))
         return radius
+
+
+def _shell(dimension, radius):
+    """The ``dimension``-tuples over ``[-radius, radius]`` (radius > 0)
+    with some entry of magnitude ``radius``, in ``itertools.product``
+    order: a tuple whose first entry is inside the shell needs the rest
+    of it on the shell, one whose first entry is on it takes any rest."""
+    if dimension == 0:
+        return
+    span = range(-radius, radius + 1)
+    for first in span:
+        if first in (-radius, radius):
+            rests = itertools.product(span, repeat=dimension - 1)
+        else:
+            rests = _shell(dimension - 1, radius)
+        for rest in rests:
+            yield (first,) + rest
 
 
 def solve_nia_enum_conjunction(literals, declarations, budget=None):

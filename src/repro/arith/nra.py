@@ -70,6 +70,7 @@ class NraSolver:
         self._names = sorted(
             name for name, sort in self.declarations.items() if sort is REAL
         )
+        self._literal_cost = sum(literal.size() for literal in self.literals)
         self._contractors = []
 
     def _new_contractor(self):
@@ -85,11 +86,12 @@ class NraSolver:
         }
 
     def _check_point(self, assignment):
-        self.work += sum(literal.size() for literal in self.literals)
+        self.work += self._literal_cost
         return all(evaluate(literal, assignment) for literal in self.literals)
 
     def _candidate_points(self, interval):
-        """Exact rational candidates inside an interval."""
+        """Exact rational candidates inside an interval, as ``Fraction``s
+        (a Real model value is a ``Fraction`` even when it is integral)."""
         candidates = []
         if interval.lo is not None and interval.hi is not None:
             candidates.append(simplest_rational_between(interval.lo, interval.hi))
@@ -100,6 +102,7 @@ class NraSolver:
             candidates.append(interval.hi)
         unique = []
         for value in candidates:
+            value = Fraction(value)
             if value not in unique and interval.contains(value):
                 unique.append(value)
         return unique

@@ -14,15 +14,22 @@ from repro.arith.interval import (
 )
 
 
+def finite_endpoints():
+    """An endpoint in either representation: an int or a Fraction."""
+    return st.one_of(
+        st.integers(min_value=-50, max_value=50),
+        st.fractions(min_value=-50, max_value=50),
+    )
+
+
 def bounded_intervals():
-    return st.tuples(
-        st.fractions(min_value=-50, max_value=50),
-        st.fractions(min_value=-50, max_value=50),
-    ).map(lambda p: Interval(min(p), max(p)))
+    return st.tuples(finite_endpoints(), finite_endpoints()).map(
+        lambda p: Interval(min(p), max(p))
+    )
 
 
 def maybe_unbounded_intervals():
-    endpoint = st.one_of(st.none(), st.fractions(min_value=-50, max_value=50))
+    endpoint = st.one_of(st.none(), finite_endpoints())
     return st.tuples(endpoint, endpoint).map(
         lambda p: Interval(
             p[0] if p[0] is not None and (p[1] is None or p[0] <= p[1]) else p[0],
@@ -34,13 +41,14 @@ def maybe_unbounded_intervals():
 
 
 def sample_points(interval, candidates=(-60, -5, -1, 0, 1, 5, 60)):
+    """Exact reference points of an interval, as Fractions."""
     points = [Fraction(c) for c in candidates if interval.contains(Fraction(c))]
     if interval.lo is not None:
-        points.append(interval.lo)
+        points.append(Fraction(interval.lo))
     if interval.hi is not None:
-        points.append(interval.hi)
+        points.append(Fraction(interval.hi))
     if not interval.is_empty:
-        points.append(interval.midpoint())
+        points.append(Fraction(interval.midpoint()))
     return points
 
 
@@ -142,6 +150,101 @@ class TestArithmeticSoundness:
         for x in [Fraction(v, 2) for v in range(-12, 13)]:
             if target.contains(x**n):
                 assert preimage.contains(x), (target, n, x)
+
+
+def twin(interval, kind):
+    """The same interval with every integral endpoint made a ``kind``
+    (``int`` or ``Fraction``)."""
+    if interval.is_empty:
+        return EMPTY
+
+    def convert(endpoint):
+        if endpoint is None or endpoint.denominator != 1:
+            return endpoint
+        return kind(endpoint)
+
+    return Interval(convert(interval.lo), convert(interval.hi))
+
+
+def exact(value):
+    """``value`` after checking that no endpoint or number in it is a
+    float or a bool (a relation's bool result passes as it is)."""
+    if isinstance(value, tuple):
+        return tuple(exact(item) for item in value)
+    if isinstance(value, Interval):
+        for endpoint in (value.lo, value.hi):
+            assert endpoint is None or type(endpoint) in (int, Fraction), value
+        return value
+    assert value is None or type(value) in (bool, int, Fraction), repr(value)
+    return value
+
+
+class TestRepresentationIndependence:
+    """An integral endpoint gives the same values as an int or a Fraction."""
+
+    @given(
+        maybe_unbounded_intervals(),
+        maybe_unbounded_intervals(),
+        st.integers(1, 5),
+        st.integers(-60, 60),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_operation_agrees(self, a, b, exponent, point):
+        operations = [
+            lambda x, y, p: x + y,
+            lambda x, y, p: x - y,
+            lambda x, y, p: -x,
+            lambda x, y, p: x * y,
+            lambda x, y, p: x.divide(y),
+            lambda x, y, p: x.power(exponent),
+            lambda x, y, p: x.root(exponent),
+            lambda x, y, p: x.abs(),
+            lambda x, y, p: x.intersect(y),
+            lambda x, y, p: x.hull(y),
+            lambda x, y, p: x.round_to_integer(),
+            lambda x, y, p: x.integer_count(),
+            lambda x, y, p: x.contains(p),
+            lambda x, y, p: x.certainly_le(y),
+            lambda x, y, p: x.certainly_lt(y),
+            lambda x, y, p: x.certainly_eq(y),
+            lambda x, y, p: x.possibly_le(y),
+            lambda x, y, p: x.possibly_lt(y),
+            lambda x, y, p: x.possibly_eq(y),
+        ]
+        if not a.is_empty:
+            operations += [
+                lambda x, y, p: x.split(),
+                lambda x, y, p: x.split_integer(),
+                lambda x, y, p: x.midpoint(),
+            ]
+        as_ints = twin(a, int), twin(b, int), point
+        as_fractions = twin(a, Fraction), twin(b, Fraction), Fraction(point)
+        for index, operation in enumerate(operations):
+            assert exact(operation(*as_ints)) == exact(operation(*as_fractions)), index
+
+    @given(st.integers(-(10**9), 10**9), st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_nth_roots_of_ints_are_ints(self, value, degree):
+        if value < 0 and degree % 2 == 0:
+            return
+        for root in (nth_root_upper, nth_root_lower):
+            bound = root(value, degree)
+            assert type(bound) is int
+            assert bound == root(Fraction(value), degree)
+
+    def test_integer_arithmetic_stays_integer(self):
+        box = Interval(-3, 4)
+        for result in (box + box, box - box, box * box, box.power(3), box.abs()):
+            assert type(result.lo) is int and type(result.hi) is int, result
+        assert box.round_to_integer() is box
+        assert Interval(6, 12).divide(Interval(2, 3)) == Interval(2, 6)
+        assert type(Interval(6, 12).divide(Interval(2, 3)).lo) is int
+        assert Interval(1, 2).midpoint() == Fraction(3, 2)
+
+    def test_floats_and_bools_are_converted(self):
+        interval = Interval(True, 2.5)
+        assert type(interval.lo) is Fraction and interval.lo == 1
+        assert type(interval.hi) is Fraction and interval.hi == Fraction(5, 2)
 
 
 class TestIntegerRefinement:

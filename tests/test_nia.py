@@ -1,5 +1,7 @@
 """Tests for the branch-and-prune NIA engine (and its enum twin)."""
 
+import itertools
+
 import pytest
 
 from repro.arith.contractor import split_conjunction
@@ -8,6 +10,7 @@ from repro.arith.nia_enum import NiaEnumSolver, solve_nia_enum_conjunction
 from repro.errors import UnsupportedLogicError
 from repro.smtlib import parse_script
 from repro.smtlib.evaluator import evaluate_assertions
+from repro.smtlib.sorts import INT
 
 
 def prepared(text):
@@ -137,6 +140,20 @@ class TestShellEnumeration:
         )
         result = solve_nia_enum_conjunction(literals, script.declarations, budget=1_000_000)
         assert result.status == "unsat"
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 4])
+    def test_shells_are_the_filtered_cube_in_order(self, dimension):
+        names = [f"x{index}" for index in range(dimension)]
+        solver = NiaEnumSolver([], {name: INT for name in names})
+        for radius in range(6):
+            span = range(-radius, radius + 1)
+            cube = itertools.product(span, repeat=dimension)
+            expected = [
+                dict(zip(names, values))
+                for values in cube
+                if max(abs(value) for value in values) == radius
+            ]
+            assert list(solver._shell_points(radius)) == expected, radius
 
 
 class TestProfileAsymmetry:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arith.contractor import split_conjunction
+from repro.arith.interval import Interval
 from repro.arith.nra import NraSolver, simplest_rational_between, solve_nra_conjunction
 from repro.smtlib import parse_script
 from repro.smtlib.evaluator import evaluate_assertions
@@ -14,6 +15,18 @@ from repro.smtlib.evaluator import evaluate_assertions
 def prepared(text):
     script = parse_script(text)
     return split_conjunction(script.conjunction()), script
+
+
+class TestCandidatePoints:
+    @pytest.mark.parametrize("interval", [Interval(None, 4), Interval(0, 4)])
+    def test_candidates_are_fractions_for_int_endpoints(self, interval):
+        # Real model values are Fractions even when the box's endpoints
+        # (hi - 1, hi) are ints.
+        literals, script = prepared("(declare-fun x () Real)(assert (> x 0))")
+        assert type(interval.hi) is int
+        points = NraSolver(literals, script.declarations)._candidate_points(interval)
+        assert Fraction(4) in points
+        assert all(type(point) is Fraction for point in points), points
 
 
 class TestSimplestRational:
