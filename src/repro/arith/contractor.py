@@ -132,11 +132,10 @@ class Contractor:
             :meth:`contract`).
     """
 
-    def __init__(self, atoms, integer_sorted=None):
+    def __init__(self, atoms):
         self.atoms = list(atoms)
         self.work = 0
         self.contractions = 0
-        self._integer = integer_sorted
         self._post_orders = {}  # term id -> the term's subterms, post-order
 
     def _is_int(self, term):

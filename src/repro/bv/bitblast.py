@@ -7,7 +7,11 @@ the shared structure of the term DAG carries over to shared circuitry.
 Circuit choices are the textbook ones used by real bit-blasters:
 
 - ripple-carry adders (with constant propagation through the gate cache);
-- shift-and-add multipliers;
+- shift-and-add multipliers; a constant multiplier that is negative, or
+  whose non-adjacent form has fewer nonzero digits than its binary form,
+  is recoded into signed digits (an adder per +1, a subtractor per -1),
+  chosen by its signed value so that a ``bvsmulo`` guard's wider product
+  shares its gates;
 - division by fresh quotient/remainder witnesses constrained with a
   double-width multiplication, which matches how solvers avoid explicit
   divider circuits;
@@ -26,6 +30,27 @@ from repro.errors import SolverError
 from repro.sat.cnf import CNF
 from repro.smtlib.terms import Op
 from repro.smtlib.values import BVValue
+
+
+def non_adjacent_form(value, width):
+    """The signed digits of ``value`` below ``width``, as ``(position,
+    digit)`` pairs with ``digit`` in {-1, +1}, lowest position first.
+
+    No two nonzero digits are adjacent, which makes the count of nonzero
+    digits minimal and never above the binary popcount of a non-negative
+    value. Digits at or above ``width`` are dropped, so the digits sum to
+    ``value`` modulo ``2**width``.
+    """
+    digits = []
+    position = 0
+    while value and position < width:
+        if value & 1:
+            digit = 2 - (value & 3)  # +1 when value = 1 (mod 4), else -1
+            digits.append((position, digit))
+            value -= digit
+        value >>= 1
+        position += 1
+    return digits
 
 
 class BlastStats:
@@ -250,8 +275,20 @@ class BitBlaster:
     def _multiplier(self, left, right):
         """Shift-and-add multiplier, truncated to len(left) bits.
 
-        The operand with more constant bits drives the rows, so constant
-        multipliers cost only their popcount in adder rows.
+        The operand with more constant bits drives the rows, so a
+        constant multiplier costs one adder row per set bit. A constant
+        whose signed value is negative, or whose non-adjacent form has
+        fewer nonzero digits than its binary form, is recoded instead:
+        the product sums one shifted copy of the other operand per
+        digit, adding the +1 digits, then subtracting the -1 digits, so
+        ``-1 * x`` is one negation rather than ``len(left)`` rows.
+
+        The choice reads the constant's signed value, not its bit
+        pattern, so the sign-extended (w+1)-bit product of a ``bvsmulo``
+        guard recodes into the same digits as the w-bit product beside
+        it and reuses its gates. (A negative constant's sign extension
+        has one more set bit, so a rule keyed on the pattern's popcount
+        can give the two products different rows.)
         """
         width = len(left)
 
@@ -261,6 +298,20 @@ class BitBlaster:
         if constant_bits(left) > constant_bits(right):
             left, right = right, left
         accumulator = self._const_bits(0, width)
+        if constant_bits(right) == width:
+            value = sum(1 << i for i, b in enumerate(right) if b == self._true)
+            value -= (value >> (width - 1)) << width  # the signed value
+            digits = non_adjacent_form(value, width)
+            if value < 0 or len(digits) < bin(value).count("1"):
+                for sign, combine in ((1, self._adder), (-1, self._subtract)):
+                    for i, digit in digits:
+                        if digit == sign:
+                            shifted = tuple(
+                                left[j - i] if j >= i else -self._true
+                                for j in range(width)
+                            )
+                            accumulator, _ = combine(accumulator, shifted)
+                return accumulator
         for i, control in enumerate(right):
             if control == -self._true:
                 continue

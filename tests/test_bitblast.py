@@ -6,7 +6,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bv.bitblast import BitBlaster
+from repro.bv.bitblast import BitBlaster, non_adjacent_form
 from repro.bv.solver import solve_bounded_script
 from repro.sat.solver import SAT, UNSAT, SatSolver, solve_cnf
 from repro.smtlib import build
@@ -98,6 +98,34 @@ class TestAgainstBruteForce:
             assert evaluate(assertion, model) is True
 
 
+def check_against_evaluator(predicate, operands, cases):
+    """Blast ``predicate`` once and pin its operands' bits to each tuple
+    of unsigned values in ``cases`` with assumption literals: the
+    predicate's literal must be satisfiable at the evaluator's value and
+    unsatisfiable negated."""
+    width = operands[0].sort.width
+    blaster = BitBlaster()
+    literal = blaster.blast_bool(predicate)
+    operand_bits = [blaster.blast_bits(term) for term in operands]
+    solver = SatSolver(cnf=blaster.cnf)
+    solver.attach()
+    for values in cases:
+        assumptions = [
+            bit if (value >> i) & 1 else -bit
+            for value, bits in zip(values, operand_bits)
+            for i, bit in enumerate(bits)
+        ]
+        expected = evaluate(
+            predicate,
+            {t.name: BVValue(v, width) for t, v in zip(operands, values)},
+        )
+        wanted = literal if expected else -literal
+        assert solver.solve(assumptions=assumptions) == SAT
+        model = solver.model()
+        assert model[abs(wanted)] == (wanted > 0), (predicate, values)
+        assert solver.solve(assumptions=assumptions + [-wanted]) == UNSAT
+
+
 class TestOverflowPredicates:
     """Every overflow predicate against the evaluator on every input."""
 
@@ -110,26 +138,11 @@ class TestOverflowPredicates:
             predicate, operands = build.BVNegO(x), (x,)
         else:
             predicate, operands = build.bv_overflow(op, x, y), (x, y)
-        blaster = BitBlaster()
-        literal = blaster.blast_bool(predicate)
-        operand_bits = [blaster.blast_bits(term) for term in operands]
-        solver = SatSolver(cnf=blaster.cnf)
-        solver.attach()
-        for values in itertools.product(range(1 << width), repeat=len(operands)):
-            assumptions = [
-                bit if (value >> i) & 1 else -bit
-                for value, bits in zip(values, operand_bits)
-                for i, bit in enumerate(bits)
-            ]
-            expected = evaluate(
-                predicate,
-                {t.name: BVValue(v, width) for t, v in zip(operands, values)},
-            )
-            wanted = literal if expected else -literal
-            assert solver.solve(assumptions=assumptions) == SAT
-            model = solver.model()
-            assert model[abs(wanted)] == (wanted > 0), (op, width, values)
-            assert solver.solve(assumptions=assumptions + [-wanted]) == UNSAT
+        check_against_evaluator(
+            predicate,
+            operands,
+            itertools.product(range(1 << width), repeat=len(operands)),
+        )
 
     @pytest.mark.parametrize("width", [8, 16, 32])
     def test_guarded_product_costs_linear_clauses(self, width):
@@ -144,6 +157,105 @@ class TestOverflowPredicates:
         guarded.blast_bool(build.bv_overflow(Op.BVSMULO, x, y))
         added = len(guarded.cnf.clauses) - len(product_only.cnf.clauses)
         assert added < 40 * width
+
+
+def clause_count(*terms):
+    blaster = BitBlaster()
+    for term in terms:
+        if term.sort.is_bool:
+            blaster.blast_bool(term)
+        else:
+            blaster.blast_bits(term)
+    return len(blaster.cnf.clauses)
+
+
+class TestConstantProducts:
+    """Products by a constant, which the multiplier may recode into
+    signed digits: every constant and every operand value against the
+    evaluator, the digits themselves, and what the recoding costs."""
+
+    CASES = [
+        (op, constant_first)
+        for op in (Op.BVMUL, Op.BVSMULO, Op.BVUMULO)
+        for constant_first in (True, False)
+    ] + [
+        (op, False)  # a constant divisor: the witness product's operand
+        for op in (Op.BVUDIV, Op.BVUREM, Op.BVSDIV, Op.BVSREM, Op.BVSMOD)
+    ]
+
+    @pytest.mark.parametrize(
+        "op, constant_first",
+        CASES,
+        ids=[f"{op.value}-{'cx' if first else 'xc'}" for op, first in CASES],
+    )
+    @pytest.mark.parametrize("width", range(1, 7))
+    def test_exhaustive_against_evaluator(self, op, constant_first, width):
+        x = build.BitVecVar("x", width)
+        y = build.BitVecVar("y", width)
+        for value in range(1 << width):
+            constant = build.BitVecConst(value, width)
+            args = (constant, x) if constant_first else (x, constant)
+            if op in (Op.BVSMULO, Op.BVUMULO):
+                check_against_evaluator(
+                    build.bv_overflow(op, *args),
+                    (x,),
+                    ((v,) for v in range(1 << width)),
+                )
+                continue
+            # A bitvector result is checked through ``result = y`` with y
+            # pinned to the evaluator's value: forced true, it leaves the
+            # result no other value.
+            result = build.bv_binary(op, *args)
+            check_against_evaluator(
+                build.Eq(result, y),
+                (x, y),
+                (
+                    (v, evaluate(result, {"x": BVValue(v, width)}).unsigned)
+                    for v in range(1 << width)
+                ),
+            )
+
+    @given(st.integers(1, 64), st.integers(-(1 << 65), 1 << 65))
+    @settings(max_examples=300, deadline=None)
+    def test_non_adjacent_form(self, width, value):
+        digits = non_adjacent_form(value, width)
+        positions = [position for position, _ in digits]
+        assert sum(d << p for p, d in digits) % (1 << width) == value % (1 << width)
+        assert all(d in (-1, 1) for _, d in digits)
+        assert all(0 <= p < width for p in positions)
+        assert all(b - a >= 2 for a, b in zip(positions, positions[1:]))
+        if value >= 0:
+            assert len(digits) <= bin(value).count("1")
+
+    @pytest.mark.parametrize("width", [8, 16, 32])
+    def test_minus_one_times_x_is_a_negation(self, width):
+        x = build.BitVecVar("x", width)
+        minus_one = build.BitVecConst((1 << width) - 1, width)
+        assert clause_count(build.BVMul(minus_one, x)) < 8 * width
+
+    def test_guard_shares_the_recoded_product(self):
+        # The guard's (w+1)-bit product recodes the same signed value
+        # into the same digits, so it reuses the product's gates.
+        width = 8
+        x = build.BitVecVar("x", width)
+        for value in range(1 << width):
+            constant = build.BitVecConst(value, width)
+            product = build.BVMul(constant, x)
+            guard = build.bv_overflow(Op.BVSMULO, constant, x)
+            added = clause_count(product, guard) - clause_count(product)
+            assert added <= 16 * width, value
+
+    def test_other_products_keep_their_encoding(self):
+        width = 16
+        x = build.BitVecVar("x", width)
+        y = build.BitVecVar("y", width)
+        product = build.BVMul(x, y)
+        assert clause_count(product) == 2299
+        assert clause_count(product, build.bv_overflow(Op.BVSMULO, x, y)) == 2853
+        assert clause_count(product, build.bv_overflow(Op.BVUMULO, x, y)) == 2718
+        # 3 has as many nonzero signed digits (4 - 1) as set bits: plain rows.
+        three = build.BitVecConst(3, width)
+        assert clause_count(build.bv_binary(Op.BVUDIV, x, three)) == 952
 
 
 class TestStructuralOps:
