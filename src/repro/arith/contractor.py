@@ -45,6 +45,10 @@ class Atom:
 
 _OP_TO_RELATION = {Op.LE: LE, Op.LT: LT, Op.GE: GE, Op.GT: GT, Op.EQ: EQ}
 
+#: Revision passes over every atom before :meth:`Contractor.contract`
+#: stops short of a fixpoint.
+CONTRACT_PASSES = 8
+
 
 def atom_from_term(term, polarity=True):
     """Build an :class:`Atom` from a comparison/equality term.
@@ -408,7 +412,7 @@ class Contractor:
             term = queue.pop()
             self._backward_node(term, box, memo, queue)
 
-    def contract(self, box, max_passes=8):
+    def contract(self, box):
         """Run atom revision to a (bounded) fixpoint.
 
         Returns the contracted box, or None when some atom is certainly
@@ -419,7 +423,7 @@ class Contractor:
             telemetry.counter_add("solver.contractions", engine="icp")
         box = box.copy()
         governor = guard.active()
-        for _ in range(max_passes):
+        for _ in range(CONTRACT_PASSES):
             if governor.interrupted("contractor"):
                 # Best-effort: the passes already run keep the box sound
                 # (contraction only narrows), so returning early is safe.

@@ -53,10 +53,9 @@ ENUMERATION_LIMIT = 32
 class NiaSolver:
     """Branch-and-prune NIA solver for conjunctions of literals."""
 
-    def __init__(self, literals, declarations, enumeration_limit=ENUMERATION_LIMIT):
+    def __init__(self, literals, declarations):
         self.literals = list(literals)
         self.declarations = dict(declarations)
-        self.enumeration_limit = enumeration_limit
         atoms, residual = literals_to_atoms(self.literals)
         if residual:
             raise UnsupportedLogicError(
@@ -140,7 +139,7 @@ class NiaSolver:
             contracted = contractor.contract(box)
             if contracted is None:
                 continue
-            count = contracted.volume_bound(self.enumeration_limit)
+            count = contracted.volume_bound(ENUMERATION_LIMIT)
             if count is not None:
                 model = self._enumerate(contracted)
                 if model is not None:

@@ -21,7 +21,7 @@ import json
 
 from repro import telemetry
 from repro.bench.suites import get_suite
-from repro.cache import SolveCache
+from repro.cache import SolveCache, activated
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.profile import aggregate
 from repro.telemetry.spans import Tracer
@@ -52,15 +52,16 @@ def _counter_totals(snapshot):
 
 
 def _run_instrumented(case, cache):
-    """Run ``case`` under a fresh registry + span sink; returns
-    ``(outcome, counter_totals, stage_aggregates)``."""
+    """Run ``case`` with ``cache`` active, under a fresh registry + span
+    sink; returns ``(outcome, counter_totals, stage_aggregates)``."""
     spans = []
     registry = MetricsRegistry()
     previous = telemetry.set_registry(registry)
     was_enabled = telemetry.enabled
     telemetry.enable(sink=spans.append)
     try:
-        outcome = case.run(cache)
+        with activated(cache):
+            outcome = case.run()
     finally:
         telemetry.disable()
         telemetry.set_registry(previous)

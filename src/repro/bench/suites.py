@@ -2,10 +2,10 @@
 
 Every case is deterministic end to end: seeded generators, fixed work
 budgets, no wall-clock dependence anywhere in the measured path. A case
-is a callable taking the per-case :class:`~repro.cache.SolveCache` and
-returning a small dict of deterministic outcomes (``verdict`` plus
-``work`` in unified units, at minimum); the harness wraps it with
-telemetry and runs it cold and warm.
+is a callable returning a small dict of deterministic outcomes
+(``verdict`` plus ``work`` in unified units, at minimum); the harness
+wraps it with telemetry and runs it cold and warm with the case's
+:class:`~repro.cache.SolveCache` active.
 
 Suites:
 
@@ -36,10 +36,11 @@ class BenchCase:
     Attributes:
         name: unique within the suite; keys the artifact sections.
         kind: coarse grouping label (``solve`` / ``refine`` / ...).
-        run: ``run(cache) -> dict`` with at least ``verdict`` and
-            ``work``; ``cache`` is a fresh or warmed
-            :class:`~repro.cache.SolveCache` the case must route its
-            solves through.
+        run: ``run() -> dict`` with at least ``verdict`` and ``work``.
+            The harness runs it with a fresh or warmed
+            :class:`~repro.cache.SolveCache` active
+            (:func:`repro.cache.activated`), which every cached layer
+            below reads.
     """
 
     __slots__ = ("name", "kind", "run")
@@ -56,8 +57,8 @@ class BenchCase:
 def _solve_case(name, script, profile="zorro", budget=BENCH_BUDGET):
     from repro.solver import solve_script
 
-    def run(cache):
-        result = solve_script(script, budget=budget, profile=profile, cache=cache)
+    def run():
+        result = solve_script(script, budget=budget, profile=profile)
         return {
             "verdict": result.status,
             "work": result.work,
@@ -69,10 +70,10 @@ def _solve_case(name, script, profile="zorro", budget=BENCH_BUDGET):
 
 
 def _refine_case(name, script, budget=BENCH_BUDGET):
-    from repro.solver import refine_script
+    from repro.core.refinement import RefinementStaub
 
-    def run(cache):
-        report = refine_script(script, budget=budget, cache=cache)
+    def run():
+        report = RefinementStaub().run(script, budget=budget)
         return {
             "verdict": report.case,
             "work": report.total_work,
@@ -86,11 +87,8 @@ def _refine_case(name, script, budget=BENCH_BUDGET):
 def _arbitrage_case(name, script, budget=BENCH_BUDGET):
     from repro.core.pipeline import Staub
 
-    def run(cache):
-        from repro.cache import activated
-
-        with activated(cache):
-            report = Staub().run(script, budget=budget)
+    def run():
+        report = Staub().run(script, budget=budget)
         return {
             "verdict": report.case,
             "work": report.total_work,
@@ -101,14 +99,12 @@ def _arbitrage_case(name, script, budget=BENCH_BUDGET):
 
 
 def _termination_case(name, program, budget=BENCH_BUDGET, use_sessions=False):
-    from repro.cache import activated
     from repro.termination.automizer import Automizer
 
-    def run(cache):
-        with activated(cache):
-            analysis = Automizer(budget=budget, use_sessions=use_sessions).analyze(
-                program
-            )
+    def run():
+        analysis = Automizer(budget=budget, use_sessions=use_sessions).analyze(
+            program
+        )
         return {
             "verdict": analysis.verdict,
             "work": analysis.final_work,

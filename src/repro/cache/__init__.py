@@ -6,10 +6,15 @@ assertions de-duplicated and sorted, declarations sorted. Two scripts
 that are permutations of the same conjunction therefore share a key --
 and never solve twice.
 
-A process-wide *active cache* can be installed with :func:`set_cache`
-(or scoped with :func:`activated`); :func:`repro.solver.solve_script`
-consults it automatically, so the CLI and the evaluation runner only
-need to install a store to memoize every top-level solve.
+A store reaches the solving stack one way: ``with activated(store):``
+makes it the process-wide *active cache* for the block. Each cached
+layer -- :func:`repro.solver.solve_script`, :class:`repro.solver.Session`,
+:class:`repro.core.refinement.RefinementStaub`,
+:meth:`repro.core.pipeline.Staub.run` and
+:class:`repro.core.session.ArbitrageSession` -- reads it with one
+:func:`get_cache` call and looks up and records through it, so a caller
+that owns a store activates it around its solves and every layer below
+sees the same one.
 """
 
 from contextlib import contextmanager
@@ -52,7 +57,6 @@ __all__ = [
     "normalize_assertions",
     "result_from_entry",
     "script_digests",
-    "set_cache",
 ]
 
 #: The process-wide active cache (None = caching off).
@@ -64,19 +68,13 @@ def get_cache():
     return _active
 
 
-def set_cache(cache):
-    """Install (or clear, with None) the active cache; returns the old one."""
-    global _active
-    previous = _active
-    _active = cache
-    return previous
-
-
 @contextmanager
 def activated(cache):
-    """Scope an active cache to a ``with`` block."""
-    previous = set_cache(cache)
+    """Make ``cache`` the active cache for a ``with`` block (None turns
+    caching off inside it); the previous one is restored on exit."""
+    global _active
+    previous, _active = _active, cache
     try:
         yield cache
     finally:
-        set_cache(previous)
+        _active = previous

@@ -46,7 +46,7 @@ import os
 import sys
 
 from repro import guard, telemetry
-from repro.cache import SolveCache
+from repro.cache import SolveCache, activated
 from repro.guard import chaos
 from repro.core.inference import infer_bounds
 from repro.core.pipeline import Staub
@@ -94,9 +94,10 @@ def _run_session_script(script, args, cache):
     from repro.solver.session import run_script_session
 
     def _replay():
-        return run_script_session(
-            script, profile=args.profile, budget=args.budget, cache=cache
-        )
+        with activated(cache):
+            return run_script_session(
+                script, profile=args.profile, budget=args.budget
+            )
 
     if args.deadline is not None:
         governor = guard.ResourceBudget(work=None, deadline=args.deadline)
@@ -131,10 +132,10 @@ def _cmd_solve(args):
     governor = None
     if args.deadline is not None:
         governor = guard.ResourceBudget(work=args.budget, deadline=args.deadline)
-    result = solve_script(
-        script, budget=args.budget, profile=args.profile, cache=cache,
-        governor=governor,
-    )
+    with activated(cache):
+        result = solve_script(
+            script, budget=args.budget, profile=args.profile, governor=governor
+        )
     print(result.status)
     print(f"; engine={result.engine} work={result.work} "
           f"(~{to_virtual_seconds(result.work):.2f} virtual seconds)"
@@ -268,18 +269,17 @@ def _cmd_arbitrage(args):
 
 
 def _run_refinement(script, args):
-    from repro.solver import refine_script
+    from repro.core.refinement import RefinementStaub
 
     cache = SolveCache(path=args.cache) if args.cache else None
-    report = refine_script(
-        script,
-        budget=args.budget,
+    loop = RefinementStaub(
         growth_factor=args.growth,
         max_rounds=args.max_rounds,
         max_width=args.max_width,
         initial_width=args.width if args.width else None,
-        cache=cache,
     )
+    with activated(cache):
+        report = loop.run(script, budget=args.budget)
     print(f"case: {report.case}")
     schedule = ", ".join(f"{width}:{case}" for width, case in report.rounds)
     print(f"rounds: [{schedule}]")

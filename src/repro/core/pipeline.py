@@ -102,7 +102,7 @@ class ArbitrageReport:
         return f"ArbitrageReport({self.case}, total={self.total_work})"
 
 
-def choose_int_width(inference, width_strategy="absint", max_int_width=MAX_INT_WIDTH):
+def choose_int_width(inference, width_strategy="absint"):
     """Width selection for integer constraints (Fig. 4 practicalities).
 
     Module-level so the scope-aware session lane
@@ -113,9 +113,9 @@ def choose_int_width(inference, width_strategy="absint", max_int_width=MAX_INT_W
     """
     if isinstance(width_strategy, int):
         return width_strategy
-    if inference.root <= max_int_width:
+    if inference.root <= MAX_INT_WIDTH:
         return max(MIN_INT_WIDTH, inference.root)
-    return max(MIN_INT_WIDTH, min(inference.assumption, max_int_width))
+    return max(MIN_INT_WIDTH, min(inference.assumption, MAX_INT_WIDTH))
 
 
 def check_candidate(script, transformed, bounded_model):
@@ -171,23 +171,22 @@ class Staub:
     """Configurable theory-arbitrage pre-processor.
 
     Args:
-        width_strategy: ``"absint"`` (the paper's inference), or an int
-            for a fixed width (the ablation baselines).
-        max_int_width / max_magnitude_bits / max_precision_bits: caps.
+        width_strategy: ``"absint"`` (the paper's inference, capped at
+            :data:`MAX_INT_WIDTH`, :data:`MAX_MAGNITUDE_BITS` and
+            :data:`MAX_PRECISION_BITS`), or an int for a fixed width (the
+            ablation baselines).
+        optimizer: a bounded-script rewrite chained after the
+            translation (RQ2's SLOT), or None.
+
+    With a solve cache active (:func:`repro.cache.activated`),
+    :meth:`run` answers the bounded side from a stored unsat core when
+    one subsumes it, searches under one literal per assertion, and
+    stores the core of a bounded-unsat search; with none, it searches as
+    hard clauses.
     """
 
-    def __init__(
-        self,
-        width_strategy="absint",
-        max_int_width=MAX_INT_WIDTH,
-        max_magnitude_bits=MAX_MAGNITUDE_BITS,
-        max_precision_bits=MAX_PRECISION_BITS,
-        optimizer=None,
-    ):
+    def __init__(self, width_strategy="absint", optimizer=None):
         self.width_strategy = width_strategy
-        self.max_int_width = max_int_width
-        self.max_magnitude_bits = max_magnitude_bits
-        self.max_precision_bits = max_precision_bits
         self.optimizer = optimizer
 
     # -- width selection ---------------------------------------------------
@@ -204,7 +203,7 @@ class Staub:
         constraint is translated at the assumption width 12 rather than
         the 38-bit root width).
         """
-        return choose_int_width(inference, self.width_strategy, self.max_int_width)
+        return choose_int_width(inference, self.width_strategy)
 
     def _choose_shape(self, inference):
         if isinstance(self.width_strategy, int):
@@ -212,11 +211,11 @@ class Staub:
             precision = max(1, self.width_strategy // 3)
             return FixedPointShape(magnitude, precision)
         root = inference.root
-        magnitude = max(3, min(root.magnitude, self.max_magnitude_bits))
+        magnitude = max(3, min(root.magnitude, MAX_MAGNITUDE_BITS))
         precision = root.precision
         if precision is None:
-            precision = self.max_precision_bits
-        precision = max(1, min(precision, self.max_precision_bits))
+            precision = MAX_PRECISION_BITS
+        precision = max(1, min(precision, MAX_PRECISION_BITS))
         return FixedPointShape(magnitude, precision)
 
     # -- pipeline stages ------------------------------------------------------

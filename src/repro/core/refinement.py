@@ -13,10 +13,13 @@ or too small likely requires solving a constraint"); the ablation
 benchmark quantifies it on the NIA suite.
 
 Each round runs the full pipeline (:meth:`Staub.run`) at the round's
-width: re-infer, re-transform, re-blast, re-solve from nothing.
-Conclusive rounds are cached per (script, width) via
+width: re-infer, re-transform, re-blast, re-solve from nothing. With a
+solve cache active (:func:`repro.cache.activated`), conclusive rounds
+are cached per (script, width) via
 :func:`repro.cache.keys.refine_round_key`, so a warm refinement replays
-round by round without touching the SAT solver.
+round by round without touching the SAT solver; and each round's
+:meth:`Staub.run` searches in that same store and stores its unsat
+cores there, like any cached :meth:`Staub.run`.
 
 A verified model at any round is still checked against the original under
 exact semantics, so the refinement loop preserves the pipeline's
@@ -101,18 +104,13 @@ class RefinementStaub:
             it. Must be a positive int: an explicit 0 would silently
             shadow the "inferred" sentinel in every falsy-width check, so
             it is rejected here rather than misbehaving later.
-        cache: a :class:`~repro.cache.store.SolveCache` for per-round
-            results; defaults to the process-wide cache
-            (:func:`repro.cache.get_cache`) at run time.
+
+    Rounds are looked up and recorded in the cache active when
+    :meth:`run` starts (:func:`repro.cache.activated`), if any.
     """
 
     def __init__(
-        self,
-        growth_factor=2,
-        max_rounds=3,
-        max_width=24,
-        initial_width=None,
-        cache=None,
+        self, growth_factor=2, max_rounds=3, max_width=24, initial_width=None
     ):
         if growth_factor <= 1:
             raise ValueError("growth_factor must be greater than 1")
@@ -130,11 +128,10 @@ class RefinementStaub:
         self.max_rounds = max_rounds
         self.max_width = max_width
         self.initial_width = initial_width
-        self.cache = cache
 
     def run(self, script, budget=None):
         """Run the refinement loop; returns a :class:`RefinementReport`."""
-        store = self.cache if self.cache is not None else solve_cache.get_cache()
+        store = solve_cache.get_cache()
         rounds = []
         total_work = 0
         cache_hits = 0

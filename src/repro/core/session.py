@@ -50,7 +50,6 @@ from repro.core.pipeline import (
     CASE_SEMANTIC_DIFFERENCE,
     CASE_TRANSFORM_FAILED,
     CASE_VERIFIED_SAT,
-    MAX_INT_WIDTH,
     TRANSLATE_COST_PER_NODE,
     ArbitrageReport,
     choose_int_width,
@@ -70,21 +69,18 @@ class ArbitrageSession(ScopeStack):
     scoped theory arbitrage over one long-lived bounded engine.
 
     Args:
-        width_strategy: ``"absint"`` or a fixed int (as for
-            :class:`~repro.core.pipeline.Staub`).
-        max_int_width: practical width cap.
-        width_hint: pre-size the first encoding (e.g. the width the
-            widest expected query needs) so later checks never rewiden.
         budget: default unified work budget per check.
+
+    Widths follow :class:`~repro.core.pipeline.Staub`'s inferred rule
+    (:func:`~repro.core.pipeline.choose_int_width`), and a check looks up
+    and records cores in the active cache
+    (:func:`repro.cache.activated`), if any.
     """
 
-    def __init__(self, width_strategy="absint", max_int_width=MAX_INT_WIDTH,
-                 width_hint=None, budget=None):
+    def __init__(self, budget=None):
         super().__init__()
-        self.width_strategy = width_strategy
-        self.max_int_width = max_int_width
         self.budget = budget
-        self._width = width_hint or 0
+        self._width = 0
         self._engine = None
         self._slices = {}  # (tid, width) -> tuple of bounded terms
         self._const_widths = {}  # tid -> width of the term's widest Int constant
@@ -101,7 +97,7 @@ class ArbitrageSession(ScopeStack):
     @property
     def width(self):
         """The current encoding width (0 before the first check)."""
-        return self._width if self._engine is not None else 0
+        return self._width
 
     # -- the scoped pipeline ----------------------------------------------
 
@@ -183,10 +179,7 @@ class ArbitrageSession(ScopeStack):
                 span.add_work(fresh)
             t_trans += fresh
 
-        needed = choose_int_width(
-            inference, self.width_strategy, self.max_int_width
-        )
-        width = max(self._width, needed)
+        width = max(self._width, choose_int_width(inference))
         bounded_decls = {
             name: (BOOL if sort.is_bool else bv_sort(width))
             for name, sort in self.declarations.items()

@@ -158,72 +158,3 @@ def reduce_and_solve(script, new_width, budget=None):
         "semantic-difference", None, original_width, new_width, work
     )
 
-
-class WidthRefinementOutcome:
-    """Result of :func:`iterative_reduce_and_solve`.
-
-    Attributes:
-        final: the last :class:`WidthReductionResult`.
-        rounds: list of (reduced_width, case) pairs in execution order.
-        total_work: cumulative unified work across every round.
-        budget_exhausted: True when the loop stopped on budget with a
-            wider retry still available.
-    """
-
-    def __init__(self, final, rounds, total_work, budget_exhausted=False):
-        self.final = final
-        self.rounds = rounds
-        self.total_work = total_work
-        self.budget_exhausted = budget_exhausted
-
-    @property
-    def case(self):
-        return self.final.case
-
-    @property
-    def model(self):
-        return self.final.model
-
-    @property
-    def usable(self):
-        return self.final.usable
-
-    def __repr__(self):
-        return f"WidthRefinementOutcome({self.case}, rounds={self.rounds})"
-
-
-def iterative_reduce_and_solve(script, initial_width, growth_factor=2, budget=None):
-    """Widen-and-retry width reduction, mirroring the refinement loop.
-
-    A ``reduced-unsat`` round says nothing about the original script
-    (the reduction is an underapproximation), so the loop grows the
-    width by ``growth_factor`` and retries until the next retry would
-    reach the original width -- at which point reduction is pointless
-    and the caller should solve the original directly. Budget semantics
-    match :class:`repro.core.refinement.RefinementStaub`: the loop
-    terminates as soon as cumulative work reaches the budget, rather
-    than launching further floor-clamped rounds.
-    """
-    if not isinstance(initial_width, int) or initial_width < 1:
-        raise ValueError("initial_width must be a positive integer")
-    if growth_factor <= 1:
-        raise ValueError("growth_factor must be greater than 1")
-    rounds = []
-    total_work = 0
-    width = initial_width
-    while True:
-        remaining = None if budget is None else budget - total_work
-        result = reduce_and_solve(script, width, budget=remaining)
-        rounds.append((width, result.case))
-        total_work += result.work
-        if result.case != "reduced-unsat":
-            return WidthRefinementOutcome(result, rounds, total_work)
-        next_width = max(width + 1, int(width * growth_factor))
-        if next_width >= result.original_width:
-            # Widening further would just re-solve the original.
-            return WidthRefinementOutcome(result, rounds, total_work)
-        if budget is not None and total_work >= budget:
-            return WidthRefinementOutcome(
-                result, rounds, total_work, budget_exhausted=True
-            )
-        width = next_width

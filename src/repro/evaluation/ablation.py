@@ -7,6 +7,7 @@ strategies -- the argument that inference beats both a smaller and a
 larger constant choice.
 """
 
+from repro.cache import activated
 from repro.core.refinement import RefinementStaub
 from repro.evaluation.runner import ExperimentCache, LOGICS, SOLVER_PROFILES
 from repro.evaluation.stats import geometric_mean
@@ -68,24 +69,26 @@ def refinement_rows(cache=None, logic=REFINEMENT_LOGIC):
 
     Every instance runs the same widening schedule
     (:data:`REFINEMENT_CONFIG`) on the deterministic virtual clock, so
-    the row set is reproducible byte-for-byte across machines. Per-round
-    results land in ``cache.solve_cache`` when one is attached, so a
-    warm rerun replays without touching a solver.
+    the row set is reproducible byte-for-byte across machines. The loop
+    runs with ``cache.solve_cache`` active when one is attached: per-round
+    results and the rounds' unsat cores land in it, so a warm rerun
+    replays without touching a solver.
     """
     cache = cache or ExperimentCache()
-    loop = RefinementStaub(cache=cache.solve_cache, **REFINEMENT_CONFIG)
+    loop = RefinementStaub(**REFINEMENT_CONFIG)
     rows = []
-    for benchmark in cache.suite(logic):
-        report = loop.run(benchmark.script, budget=cache.timeout)
-        rows.append(
-            {
-                "name": benchmark.name,
-                "case": report.case,
-                "rounds": [[width, case] for width, case in report.rounds],
-                "total_work": report.total_work,
-                "cache_hits": report.cache_hits,
-            }
-        )
+    with activated(cache.solve_cache):
+        for benchmark in cache.suite(logic):
+            report = loop.run(benchmark.script, budget=cache.timeout)
+            rows.append(
+                {
+                    "name": benchmark.name,
+                    "case": report.case,
+                    "rounds": [[width, case] for width, case in report.rounds],
+                    "total_work": report.total_work,
+                    "cache_hits": report.cache_hits,
+                }
+            )
     return rows
 
 

@@ -23,6 +23,7 @@ instead of ``eval.baseline_runs`` / ``eval.arbitrage_runs``).
 
 from repro import telemetry
 from repro.benchgen import suite_for
+from repro.cache import activated
 from repro.cache.keys import cache_key
 from repro.core.pipeline import Staub, portfolio_time
 from repro.slot import optimize_script
@@ -139,8 +140,9 @@ class ExperimentCache:
         scale: suite size multiplier (use < 1 for quick runs).
         timeout: unified-work timeout (default :data:`TIMEOUT_WORK`).
         solve_cache: optional :class:`~repro.cache.SolveCache`; baseline
-            solves and arbitrage records are read from and written to it,
-            persisting results across runner invocations.
+            solves (run with it active) and arbitrage records are read
+            from and written to it, persisting results across runner
+            invocations.
     """
 
     def __init__(self, seed=2024, scale=1.0, timeout=TIMEOUT_WORK, solve_cache=None):
@@ -171,12 +173,10 @@ class ExperimentCache:
             return cached
         benchmark = self._find(logic, name)
         with telemetry.span("baseline", logic=logic, profile=profile):
-            result = solve_script(
-                benchmark.script,
-                budget=self.timeout,
-                profile=profile,
-                cache=self.solve_cache,
-            )
+            with activated(self.solve_cache):
+                result = solve_script(
+                    benchmark.script, budget=self.timeout, profile=profile
+                )
         timed_out = result.is_unknown
         work = self.timeout if timed_out else min(result.work, self.timeout)
         record = BaselineRecord(result.status, work, timed_out)
@@ -225,6 +225,11 @@ class ExperimentCache:
                 )
                 return record
         staub = make_staub(strategy, slot=slot)
+        # Staub.run runs without this store active: with it, the bounded
+        # side would search under per-assertion literals instead of hard
+        # clauses and reuse cores across runs, so every record (and the
+        # tables and figures built on them) would depend on --cache. The
+        # record is cached whole instead.
         with telemetry.span("arbitrage", logic=logic, strategy=canonical):
             report = staub.run(benchmark.script, budget=self.timeout)
         record = ArbitrageRecord(report, timeout=self.timeout)

@@ -300,12 +300,6 @@ class SatSolver:
         var = (internal >> 1) + 1
         return -var if internal & 1 else var
 
-    def _lit_value(self, internal):
-        value = self._lit_val[internal]
-        if value == 0:
-            return None
-        return value > 0
-
     def add_clause(self, literals):
         """Add a problem clause (DIMACS literals). Returns False if the
         solver becomes trivially unsatisfiable."""

@@ -5,24 +5,25 @@ from repro.slot.passes import PASS_REGISTRY, AssertionCleanup
 from repro.smtlib.script import Script
 from repro.smtlib.terms import map_terms
 
+#: Fixpoint cap: each iteration runs every pass once.
+FIXPOINT_ITERATIONS = 4
+
 
 class PassManager:
     """Runs a pipeline of term passes plus assertion cleanup.
 
     Args:
         passes: pass classes (defaults to :data:`PASS_REGISTRY`).
-        max_iterations: fixpoint cap; each iteration runs every pass once.
     """
 
-    def __init__(self, passes=None, max_iterations=4):
+    def __init__(self, passes=None):
         self.passes = [cls() for cls in (passes or PASS_REGISTRY)]
-        self.max_iterations = max_iterations
         self.statistics = {cls.name: 0 for cls in (passes or PASS_REGISTRY)}
 
     def run_on_assertions(self, assertions):
         """Optimize a list of boolean terms; returns the new list."""
         current = list(assertions)
-        for _ in range(self.max_iterations):
+        for _ in range(FIXPOINT_ITERATIONS):
             changed = False
             for pass_instance in self.passes:
                 def rewrite(term, new_args, _pass=pass_instance):

@@ -29,11 +29,6 @@ class BVValue:
         self.unsigned = value & ((1 << width) - 1)
         self.width = width
 
-    @classmethod
-    def from_signed(cls, value, width):
-        """Build from a signed integer, wrapping modulo ``2**width``."""
-        return cls(value, width)
-
     @property
     def signed(self):
         """The two's-complement signed view of the value."""

@@ -11,9 +11,8 @@ native stack (see DESIGN.md):
 Entry points:
 
 - :func:`solve_script` -- solve any supported script under a profile.
-- :func:`refine_script` -- theory arbitrage with width refinement.
-- :class:`Session` / :func:`open_session` -- incremental push/pop
-  sessions over one persistent engine.
+- :class:`Session` -- incremental push/pop sessions over one persistent
+  engine.
 - :func:`run_script_session` -- replay an incremental SMT-LIB script.
 - :class:`SolveResult` -- status + model + deterministic work.
 - :data:`PROFILES` -- the registered solver profiles.
@@ -21,7 +20,7 @@ Entry points:
 
 from repro.solver.result import SAT, UNKNOWN, UNSAT, SolveResult
 from repro.solver.profiles import PROFILES, SolverProfile, get_profile
-from repro.solver.facade import open_session, refine_script, solve_script
+from repro.solver.facade import solve_script
 from repro.solver.session import Session, run_script_session
 
 __all__ = [
@@ -33,8 +32,6 @@ __all__ = [
     "PROFILES",
     "SolverProfile",
     "get_profile",
-    "open_session",
     "run_script_session",
     "solve_script",
-    "refine_script",
 ]

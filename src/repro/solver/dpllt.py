@@ -23,6 +23,9 @@ from repro.smtlib.terms import Op
 from repro.solver.result import SAT, UNKNOWN, UNSAT, SolveResult
 from repro.telemetry.stats import merge_stats, unified_stats
 
+#: Safety cap on skeleton/theory iterations of one DPLL(T) solve.
+MAX_THEORY_ROUNDS = 2000
+
 
 class TheoryOutcome(tuple):
     """The DPLL(T) result: unpacks like the historical 4-tuple.
@@ -161,7 +164,7 @@ class _Skeleton:
         raise SolverError(f"unexpected structural operator {op}")
 
 
-def solve_with_theory(script, theory_factory, budget=None, max_rounds=2000):
+def solve_with_theory(script, theory_factory, budget=None):
     """Lazy DPLL(T) loop.
 
     Args:
@@ -171,7 +174,6 @@ def solve_with_theory(script, theory_factory, budget=None, max_rounds=2000):
             the caller is responsible for unit conversion.
         budget: raw-unit budget passed through to the theory engine and
             (scaled) to the SAT skeleton.
-        max_rounds: safety cap on skeleton/theory iterations.
 
     Returns:
         A :class:`TheoryOutcome` -- unpacks as ``(status, model,
@@ -202,7 +204,7 @@ def solve_with_theory(script, theory_factory, budget=None, max_rounds=2000):
     governor = guard.active()
     while True:
         rounds += 1
-        if rounds > max_rounds:
+        if rounds > MAX_THEORY_ROUNDS:
             return finish(UNKNOWN, None)
         if governor.interrupted("dpllt"):
             return finish(UNKNOWN, None)

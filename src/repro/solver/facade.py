@@ -8,11 +8,11 @@ theory engine, and reports results on the unified virtual clock
 Both paths populate the same uniform ``stats`` dict on the result (see
 :mod:`repro.telemetry.stats`).
 
-When a :class:`~repro.cache.SolveCache` is active (installed via
-:func:`repro.cache.set_cache` or passed explicitly), solves are keyed by
-the canonical form of the normalized script plus the (profile, budget)
-parameters, and repeated identical questions are answered from the cache
-with ``result.cached`` set.
+When a :class:`~repro.cache.SolveCache` is active (scoped with
+:func:`repro.cache.activated`), solves are keyed by the canonical form of
+the normalized script plus the (profile, budget) parameters, and
+repeated identical questions are answered from the cache with
+``result.cached`` set.
 """
 
 from repro import cache as solve_cache
@@ -34,7 +34,7 @@ def _bounded_logic(script):
     return all(sort.is_bounded for sort in script.declarations.values())
 
 
-def solve_script(script, budget=None, profile="zorro", cache=None, governor=None):
+def solve_script(script, budget=None, profile="zorro", governor=None):
     """Solve a script under a profile with a unified resource envelope.
 
     Args:
@@ -43,12 +43,6 @@ def solve_script(script, budget=None, profile="zorro", cache=None, governor=None
         budget: unified work budget (None = unlimited). Exhaustion yields
             status ``"unknown"`` -- the reproduction's timeout.
         profile: profile name or :class:`SolverProfile`.
-        cache: a :class:`~repro.cache.SolveCache` overriding the
-            process-wide active cache (None = use the active one, if any).
-            With a cache, a bounded script is searched under one literal
-            per assertion and an unsat answer stores that search's core;
-            without, as hard clauses. A budget-bound verdict or a sat
-            model may differ between the two.
         governor: a :class:`~repro.guard.ResourceBudget` governing this
             solve (deadline, cancellation, depth/memory ceilings). Built
             from ``budget`` when omitted; an already-active outer
@@ -60,6 +54,12 @@ def solve_script(script, budget=None, profile="zorro", cache=None, governor=None
         layer comes back as a structured ``"unknown"`` (with the layer
         that gave up in ``stats["gave_up"]``), never as a raised
         :class:`~repro.errors.BudgetExceeded`.
+
+    With an active cache (:func:`repro.cache.activated`) the answer is
+    looked up and recorded there, and a bounded script is searched under
+    one literal per assertion so an unsat answer stores that search's
+    core; with none, as hard clauses. A budget-bound verdict or a sat
+    model may differ between the two.
     """
     if isinstance(profile, str):
         profile = get_profile(profile)
@@ -72,7 +72,7 @@ def solve_script(script, budget=None, profile="zorro", cache=None, governor=None
     elif budget is None:
         budget = governor.work_limit
 
-    store = cache if cache is not None else solve_cache.get_cache()
+    store = solve_cache.get_cache()
     key = None
     if store is not None:
         key = cache_key(script, profile=profile.name, budget=budget)
@@ -112,53 +112,6 @@ def solve_script(script, budget=None, profile="zorro", cache=None, governor=None
         core=lambda: core and assertion_core_digests(script, core),
     )
     return result
-
-
-def refine_script(
-    script,
-    budget=None,
-    growth_factor=2,
-    max_rounds=3,
-    max_width=24,
-    initial_width=None,
-    cache=None,
-):
-    """Solve with width refinement: widen and retry on bounded-unsat.
-
-    A thin façade over :class:`repro.core.refinement.RefinementStaub`,
-    matching :func:`solve_script`'s cache conventions (per-round entries
-    land in the active process-wide cache unless ``cache`` overrides it).
-
-    Returns:
-        A :class:`repro.core.refinement.RefinementReport`.
-    """
-    # Local import: repro.core imports this package for cost accounting,
-    # so a top-level import would be circular.
-    from repro.core.refinement import RefinementStaub
-
-    loop = RefinementStaub(
-        growth_factor=growth_factor,
-        max_rounds=max_rounds,
-        max_width=max_width,
-        initial_width=initial_width,
-        cache=cache,
-    )
-    return loop.run(script, budget=budget)
-
-
-def open_session(profile="zorro", budget=None, cache=None):
-    """Start an incremental session sharing this facade's conventions.
-
-    A :class:`~repro.solver.session.Session` answers a *stream* of
-    ``check-sat`` questions over a push/pop assertion stack, paying
-    bit-blasting once for bounded stacks. Unbounded stacks fall back to
-    :func:`solve_script` of the flattened scopes, so a session is never
-    worse than scratch solving.
-    """
-    # Local import: the session module builds on this facade.
-    from repro.solver.session import Session
-
-    return Session(profile=profile, budget=budget, cache=cache)
 
 
 def _gave_up_result(governor, error, profile):

@@ -30,11 +30,10 @@ class SolverProfile:
         description: one-line summary for reports.
     """
 
-    def __init__(self, name, description, nia_engine, nra_epsilon_bits=12):
+    def __init__(self, name, description, nia_engine):
         self.name = name
         self.description = description
         self._nia_engine = nia_engine
-        self.nra_epsilon_bits = nra_epsilon_bits
 
     def engine_for(self, logic):
         """The conjunction-engine factory for an unbounded logic."""
@@ -43,16 +42,7 @@ class SolverProfile:
         if logic == "QF_NIA":
             return self._nia_engine
         if logic == "QF_NRA":
-            from fractions import Fraction
-
-            def make(literals, declarations):
-                return NraSolver(
-                    literals,
-                    declarations,
-                    epsilon=Fraction(1, 1 << self.nra_epsilon_bits),
-                )
-
-            return make
+            return NraSolver
         raise SolverError(f"profile {self.name} has no engine for {logic}")
 
     def __repr__(self):

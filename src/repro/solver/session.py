@@ -239,15 +239,15 @@ class Session(ScopeStack):
     Args:
         profile: solver profile for unbounded checks.
         budget: default unified work budget per ``check-sat``.
-        cache: a :class:`~repro.cache.SolveCache` overriding the active
-            process-wide cache.
+
+    A check looks up and records in the active cache
+    (:func:`repro.cache.activated`), if any.
     """
 
-    def __init__(self, profile="zorro", budget=None, cache=None):
+    def __init__(self, profile="zorro", budget=None):
         super().__init__()
         self.profile = profile
         self.budget = budget
-        self.cache = cache
         self._engine = None  # the BoundedEngine every bounded check reuses
         #: After a check the engine answered unsat: the live terms whose
         #: assumption literals appear in the final conflict (the
@@ -307,15 +307,12 @@ class Session(ScopeStack):
         if not self._bounded:
             self.counters["fallback_checks"] += 1
             result = solve_script(
-                self.flattened_script(),
-                budget=budget,
-                profile=self.profile,
-                cache=self.cache,
+                self.flattened_script(), budget=budget, profile=self.profile
             )
             self.counters["work"] += result.work
             return result
 
-        store = self.cache if self.cache is not None else solve_cache.get_cache()
+        store = solve_cache.get_cache()
         key = None
         if store is not None:
             key = self.key(self.profile, budget)
@@ -402,24 +399,20 @@ class Session(ScopeStack):
         return result, watch
 
 
-def run_script_session(script, profile="zorro", budget=None, cache=None,
-                       session=None):
-    """Replay an incremental script's command stream on one session.
+def run_script_session(script, profile="zorro", budget=None):
+    """Replay an incremental script's command stream on a fresh session.
 
     Args:
         script: a parsed :class:`~repro.smtlib.script.Script` whose
             :attr:`~repro.smtlib.script.Script.commands` drive the
             session (push/pop/reset-assertions/assert/check-sat).
-        session: an existing :class:`Session` to continue, or None for a
-            fresh one.
 
     Returns:
         ``(results, session)`` -- one
         :class:`~repro.solver.result.SolveResult` per ``check-sat``, in
         script order.
     """
-    if session is None:
-        session = Session(profile=profile, budget=budget, cache=cache)
+    session = Session(profile=profile, budget=budget)
     results = []
     for command in script.commands:
         name = command.name

@@ -48,9 +48,6 @@ class Gauge:
     def inc(self, amount=1):
         self.value += amount
 
-    def dec(self, amount=1):
-        self.value -= amount
-
     def snapshot(self):
         return self.value
 

@@ -152,8 +152,8 @@ class TestCoreSoundness:
                 build.Gt(build.IntVar("n"), build.IntConst(0)),
             ],
         )
-        store = SolveCache()
-        assert solve_script(unbounded, budget=BUDGET, cache=store).status == "unsat"
+        with activated(SolveCache()) as store:
+            assert solve_script(unbounded, budget=BUDGET).status == "unsat"
         assert store.stats()["cores"] == 0
 
     def test_session_last_core_terms_are_unsat(self):
@@ -329,8 +329,8 @@ class TestOneSearch:
     def test_cached_solve_script(self, monkeypatch):
         script = _bounded(_ranking_scripts()[0])
         searches = _spy_searches(monkeypatch)
-        store = SolveCache()
-        result = solve_script(script, budget=BUDGET, cache=store)
+        with activated(SolveCache()) as store:
+            result = solve_script(script, budget=BUDGET)
         assert result.status == "unsat"
         assert len(searches) == 1
         assert store.stats()["cores"] == 1

@@ -7,6 +7,7 @@ import os
 import pytest
 
 from repro import telemetry
+from repro.cache import activated
 from repro.cache.store import SolveCache, _entry_checksum
 from repro.guard import chaos
 from repro.guard.chaos import ChaosCrash, ChaosPlan
@@ -221,39 +222,41 @@ class TestSessionChaos:
     poisoning, and the session keeps answering once the storm passes."""
 
     @staticmethod
-    def _session(cache=None):
+    def _session():
         from repro.smtlib import parse_term
         from repro.smtlib.sorts import bv_sort
         from repro.solver.session import Session
 
         decls = {"v": bv_sort(8), "w": bv_sort(8)}
-        session = Session(cache=cache)
+        session = Session()
         session.assert_term(parse_term("(= (bvmul v w) (_ bv77 8))", decls))
         session.assert_term(parse_term("(bvult v w)", decls))
         return session
 
     def test_injected_crash_degrades_to_unknown_and_session_survives(self):
         store = SolveCache()
-        session = self._session(cache=store)
+        session = self._session()
         chaos.install(ChaosPlan(17, 1.0, kinds={"session.check_sat": ("crash",)}))
-        result = session.check_sat()
-        assert result.status == "unknown"
-        assert result.stats.get("gave_up_reason") == "chaos-crash"
-        assert len(store) == 0  # never poisons the solve cache
-        chaos.uninstall()
-        recovered = session.check_sat()
+        with activated(store):
+            result = session.check_sat()
+            assert result.status == "unknown"
+            assert result.stats.get("gave_up_reason") == "chaos-crash"
+            assert len(store) == 0  # never poisons the solve cache
+            chaos.uninstall()
+            recovered = session.check_sat()
         assert recovered.status == "sat"
         assert len(store) == 1
 
     def test_injected_budget_exhaustion_mid_session(self):
         store = SolveCache()
-        session = self._session(cache=store)
+        session = self._session()
         chaos.install(ChaosPlan(17, 1.0, kinds={"session.check_sat": ("budget",)}))
-        result = session.check_sat()
-        assert result.status == "unknown"
-        assert len(store) == 0
-        chaos.uninstall()
-        assert session.check_sat().status == "sat"
+        with activated(store):
+            result = session.check_sat()
+            assert result.status == "unknown"
+            assert len(store) == 0
+            chaos.uninstall()
+            assert session.check_sat().status == "sat"
 
     def test_crash_at_depth_preserves_scope_stack(self):
         from repro.smtlib import parse_term
@@ -275,8 +278,9 @@ class TestSessionChaos:
         # A plan at rate 0 never fires: results are untainted and cached.
         store = SolveCache()
         chaos.install(ChaosPlan(17, 0.0))
-        session = self._session(cache=store)
-        assert session.check_sat().status == "sat"
+        session = self._session()
+        with activated(store):
+            assert session.check_sat().status == "sat"
         assert len(store) == 1
 
 
@@ -285,17 +289,19 @@ class TestSolverChaos:
         chaos.install(ChaosPlan(11, 1.0, kinds={"solver.pre_solve": ("budget",)}))
         store = SolveCache()
         script = parse_script(UNSAT_LIA)
-        result = solve_script(script, budget=10**6, cache=store)
+        with activated(store):
+            result = solve_script(script, budget=10**6)
         assert result.status == "unknown"  # injected exhaustion
         assert len(store) == 0  # tainted: never persisted
 
     def test_fault_free_results_still_cached(self):
         store = SolveCache()
         script = parse_script(UNSAT_LIA)
-        first = solve_script(script, budget=10**6, cache=store)
-        assert first.status == "unsat"
-        assert len(store) == 1
-        second = solve_script(script, budget=10**6, cache=store)
+        with activated(store):
+            first = solve_script(script, budget=10**6)
+            assert first.status == "unsat"
+            assert len(store) == 1
+            second = solve_script(script, budget=10**6)
         assert second.cached and second.status == "unsat"
 
     def test_interleaving_lanes_crash_retry_then_written_off(self):

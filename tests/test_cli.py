@@ -101,6 +101,25 @@ class TestArbitrage:
         assert "cache hits: 3" in warm
         assert cold.replace("cache hits: 0", "cache hits: 3") == warm
 
+    def test_refine_cache_stores_the_rounds_cores(self, tmp_path, capsys):
+        # Each round's Staub.run searches in the --cache store like any
+        # cached run, so its bounded-unsat search leaves its core there.
+        path = tmp_path / "unsat.smt2"
+        path.write_text(
+            "(set-logic QF_NIA)\n"
+            "(declare-fun x () Int)(declare-fun y () Int)\n"
+            "(assert (= (* x x) (+ (* 4 y) 2)))(assert (> y 0))\n"
+            "(check-sat)\n"
+        )
+        cache = tmp_path / "refine.json"
+        assert main(["arbitrage", str(path), "--refine", "--cache", str(cache)]) == 0
+        out = capsys.readouterr().out
+        assert "rounds: [10:bounded-unsat, 20:bounded-unsat, 24:bounded-unsat]" in out
+        assert main(["cache", "stats", str(cache)]) == 0
+        stats = capsys.readouterr().out
+        assert "  entries = 3\n" in stats
+        assert "  cores = 3\n" in stats
+
 
 class TestAnalyze:
     def test_analyze_report(self, nia_file, capsys):
@@ -149,7 +168,7 @@ class TestDeadlineNeverPoisonsCache:
 
     def test_cancelled_outer_governor_stores_nothing(self):
         from repro import guard
-        from repro.cache import SolveCache
+        from repro.cache import SolveCache, activated
         from repro.smtlib import parse_script
         from repro.solver import solve_script
 
@@ -157,12 +176,13 @@ class TestDeadlineNeverPoisonsCache:
         cache = SolveCache()
         outer = guard.ResourceBudget()
         outer.cancel()
-        with guard.activate(outer):
-            degraded = solve_script(script, budget=200_000, cache=cache)
-        assert degraded.status == "unknown"
-        assert degraded.stats["gave_up_reason"] == "parent"
-        assert len(cache) == 0
-        again = solve_script(script, budget=200_000, cache=cache)
+        with activated(cache):
+            with guard.activate(outer):
+                degraded = solve_script(script, budget=200_000)
+            assert degraded.status == "unknown"
+            assert degraded.stats["gave_up_reason"] == "parent"
+            assert len(cache) == 0
+            again = solve_script(script, budget=200_000)
         assert not again.cached
         assert again.status == "sat"
 

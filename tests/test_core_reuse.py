@@ -17,7 +17,7 @@ import pytest
 from repro import guard, telemetry
 from repro.benchgen import suite_for
 from repro.bv.solver import BoundedEngine
-from repro.cache import SolveCache, activated, script_digests, set_cache
+from repro.cache import SolveCache, activated, script_digests
 from repro.cache.admission import Watch, admit, record
 from repro.cache.store import entry_from_result
 from repro.cli import main as cli_main
@@ -35,11 +35,9 @@ BUDGET = 200_000
 
 @pytest.fixture(autouse=True)
 def clean_state():
-    set_cache(None)
     telemetry.disable()
     telemetry.get_registry().reset()
     yield
-    set_cache(None)
     telemetry.disable()
     telemetry.get_registry().reset()
 
@@ -347,27 +345,28 @@ class TestRootUnsatGuard:
 
     def test_root_unsat_session_never_poisons_core_index(self):
         cache = SolveCache()
-        session = Session(cache=cache)
-        session.assert_term(
-            parse_script("(declare-fun p () Bool)(assert p)(check-sat)").assertions[0]
-        )
-        assert session.check_sat().status == "sat"
-        # Force the permanent root-UNSAT fast path (hard clauses dead),
-        # and grow the stack so the check misses the whole-key cache.
-        session._engine.blaster.assert_term(build.FALSE)
-        session.assert_term(
-            parse_script("(declare-fun r () Bool)(assert r)(check-sat)").assertions[0]
-        )
-        assert session.check_sat().status == "unsat"
-        assert session.last_core_terms is None
-        assert not cache.has_cores()
-        # A fresh, satisfiable session question on the same cache must
-        # not be answered unsat by a poisoned (empty) core.
-        probe = Session(cache=cache)
-        probe.assert_term(
-            parse_script("(declare-fun q () Bool)(assert q)(check-sat)").assertions[0]
-        )
-        assert probe.check_sat().status == "sat"
+        with activated(cache):
+            session = Session()
+            session.assert_term(
+                parse_script("(declare-fun p () Bool)(assert p)(check-sat)").assertions[0]
+            )
+            assert session.check_sat().status == "sat"
+            # Force the permanent root-UNSAT fast path (hard clauses dead),
+            # and grow the stack so the check misses the whole-key cache.
+            session._engine.blaster.assert_term(build.FALSE)
+            session.assert_term(
+                parse_script("(declare-fun r () Bool)(assert r)(check-sat)").assertions[0]
+            )
+            assert session.check_sat().status == "unsat"
+            assert session.last_core_terms is None
+            assert not cache.has_cores()
+            # A fresh, satisfiable session question on the same cache must
+            # not be answered unsat by a poisoned (empty) core.
+            probe = Session()
+            probe.assert_term(
+                parse_script("(declare-fun q () Bool)(assert q)(check-sat)").assertions[0]
+            )
+            assert probe.check_sat().status == "sat"
 
 
 class TestFacadeCoreReuse:

@@ -307,13 +307,13 @@ class TestSessionDegradation:
     stays usable, and shaped results never reach the solve cache."""
 
     @staticmethod
-    def _planted_session(cache=None):
+    def _planted_session():
         from repro.smtlib import parse_term
         from repro.smtlib.sorts import bv_sort
         from repro.solver.session import Session
 
         decls = {"v": bv_sort(8), "w": bv_sort(8)}
-        session = Session(cache=cache)
+        session = Session()
         session.assert_term(parse_term("(= (bvmul v w) (_ bv77 8))", decls))
         session.assert_term(parse_term("(bvult (_ bv1 8) v)", decls))
         session.assert_term(parse_term("(bvult v w)", decls))
@@ -328,16 +328,17 @@ class TestSessionDegradation:
         assert session.check_sat(budget=None).status == "sat"
 
     def test_exhausted_checks_never_cached(self):
-        from repro.cache import SolveCache
+        from repro.cache import SolveCache, activated
 
         store = SolveCache()
-        session = self._planted_session(cache=store)
-        assert session.check_sat(budget=1).status == "unknown"
-        assert len(store) == 0
-        assert session.check_sat().status == "sat"
-        assert len(store) == 1
-        warm = self._planted_session(cache=store)
-        assert warm.check_sat().status == "sat"
+        session = self._planted_session()
+        with activated(store):
+            assert session.check_sat(budget=1).status == "unknown"
+            assert len(store) == 0
+            assert session.check_sat().status == "sat"
+            assert len(store) == 1
+            warm = self._planted_session()
+            assert warm.check_sat().status == "sat"
         assert warm.counters["cache_hits"] == 1
 
     def test_expired_outer_deadline_mid_session(self):
@@ -350,16 +351,17 @@ class TestSessionDegradation:
         assert session.check_sat().status == "sat"
 
     def test_cancelled_outer_governor_mid_session(self):
-        from repro.cache import SolveCache
+        from repro.cache import SolveCache, activated
 
         store = SolveCache()
-        session = self._planted_session(cache=store)
+        session = self._planted_session()
         governor = ResourceBudget()
         governor.cancel()
-        with guard.activate(governor):
-            assert session.check_sat().status == "unknown"
-        assert len(store) == 0
-        assert session.check_sat().status == "sat"
+        with activated(store):
+            with guard.activate(governor):
+                assert session.check_sat().status == "unknown"
+            assert len(store) == 0
+            assert session.check_sat().status == "sat"
 
     def test_exhaustion_at_depth_preserves_scope_stack(self):
         from repro.smtlib import parse_term

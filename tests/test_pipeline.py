@@ -8,6 +8,7 @@ from repro.core.pipeline import (
     CASE_SEMANTIC_DIFFERENCE,
     CASE_TRANSFORM_FAILED,
     CASE_VERIFIED_SAT,
+    MAX_INT_WIDTH,
     Staub,
     portfolio_time,
 )
@@ -113,9 +114,8 @@ class TestWidthStrategies:
             "(declare-fun x () Int)(declare-fun y () Int)(declare-fun z () Int)"
             "(assert (= (+ (* x x x) (* y y y) (* z z z)) 855))"
         )
-        staub = Staub()
-        transformed, inference, _ = staub.transform(script)
-        assert inference.root > staub.max_int_width
+        transformed, inference, _ = Staub().transform(script)
+        assert inference.root > MAX_INT_WIDTH
         assert transformed.width == inference.assumption  # Fig. 1b's 12
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import telemetry
-from repro.cache import SolveCache
+from repro.cache import SolveCache, activated
 from repro.cache.keys import refine_round_key
 from repro.core.pipeline import (
     CASE_BOUNDED_UNKNOWN,
@@ -135,14 +135,14 @@ class TestBudgetRegression:
         # unknown, not spin the remaining schedule on a floor-clamped
         # budget.
         script = parse_script(self.UNSAT)
-        cache = SolveCache()
-        cfg = dict(initial_width=4, max_rounds=4)
-        cold = RefinementStaub(cache=cache, **cfg).run(script, budget=1_200_000)
-        assert len(cold.rounds) >= 2
-        first_round_work = cold.total_work  # upper bound on round one
-        warm = RefinementStaub(cache=cache, **cfg).run(
-            script, budget=max(1, first_round_work // len(cold.rounds))
-        )
+        loop = RefinementStaub(initial_width=4, max_rounds=4)
+        with activated(SolveCache()):
+            cold = loop.run(script, budget=1_200_000)
+            assert len(cold.rounds) >= 2
+            first_round_work = cold.total_work  # upper bound on round one
+            warm = loop.run(
+                script, budget=max(1, first_round_work // len(cold.rounds))
+            )
         assert warm.budget_exhausted
         assert warm.case == CASE_BOUNDED_UNKNOWN
         assert warm.final.stats["gave_up"] == "refinement"
@@ -172,10 +172,10 @@ class TestRoundCache:
         script = parse_script(
             "(declare-fun x () Int)(assert (= (* x x) 49))"
         )
-        cache = SolveCache()
-        cfg = dict(initial_width=3, max_rounds=5, cache=cache)
-        cold = RefinementStaub(**cfg).run(script, budget=1_200_000)
-        warm = RefinementStaub(**cfg).run(script, budget=1_200_000)
+        loop = RefinementStaub(initial_width=3, max_rounds=5)
+        with activated(SolveCache()):
+            cold = loop.run(script, budget=1_200_000)
+            warm = loop.run(script, budget=1_200_000)
         assert len(cold.rounds) >= 2
         assert warm.case == cold.case
         assert warm.rounds == cold.rounds

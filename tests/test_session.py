@@ -23,7 +23,7 @@ from repro.errors import SessionError, SmtLibError
 from repro.smtlib import parse_script, parse_term
 from repro.smtlib.evaluator import evaluate_assertions
 from repro.smtlib.sorts import BOOL, INT, bv_sort
-from repro.solver import open_session, solve_script
+from repro.solver import solve_script
 from repro.solver.session import Session, run_script_session
 
 # -- trace generation ---------------------------------------------------------
@@ -219,20 +219,20 @@ class TestSessionApi:
         # push/pop interleavings: the scope-prefix keys must collide.
         a = parse_term("(bvult v w)", _BV_DECLS)
         b = parse_term("(bvule w (_ bv50 8))", _BV_DECLS)
-        store = SolveCache()
-        one = Session(cache=store)
-        one.assert_term(a)
-        one.push()
-        one.assert_term(b)
-        first = one.check_sat()
-        two = Session(cache=store)
-        two.assert_term(a)
-        two.push()
-        two.assert_term(parse_term("(bvugt w (_ bv250 8))", _BV_DECLS))
-        two.pop()
-        two.push()
-        two.assert_term(b)
-        second = two.check_sat()
+        with activated(SolveCache()):
+            one = Session()
+            one.assert_term(a)
+            one.push()
+            one.assert_term(b)
+            first = one.check_sat()
+            two = Session()
+            two.assert_term(a)
+            two.push()
+            two.assert_term(parse_term("(bvugt w (_ bv250 8))", _BV_DECLS))
+            two.pop()
+            two.push()
+            two.assert_term(b)
+            second = two.check_sat()
         assert two.counters["cache_hits"] == 1
         assert second.status == first.status
 
@@ -241,23 +241,15 @@ class TestSessionApi:
         # chain distinguishes them (a pop must not resurrect the wrong
         # cached answer later).
         a = parse_term("(bvult v w)", _BV_DECLS)
-        store = SolveCache()
-        one = Session(cache=store)
-        one.assert_term(a)
-        one.check_sat()
-        two = Session(cache=store)
-        two.push()
-        two.assert_term(a)
-        two.check_sat()
+        with activated(SolveCache()):
+            one = Session()
+            one.assert_term(a)
+            one.check_sat()
+            two = Session()
+            two.push()
+            two.assert_term(a)
+            two.check_sat()
         assert two.counters["cache_hits"] == 0
-
-    def test_open_session_facade(self):
-        from repro.solver import open_session as facade_open
-
-        session = facade_open(budget=1_000_000)
-        assert isinstance(session, Session)
-        assert session.budget == 1_000_000
-        assert open_session().profile == "zorro"
 
     def test_run_script_session_replays_commands(self):
         script = parse_script(

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from repro import telemetry
-from repro.cache import SolveCache, activated, cache_key, canonical_text, get_cache, set_cache
+from repro.cache import SolveCache, activated, cache_key, canonical_text, get_cache
 from repro.cache.store import (
     decode_model,
     decode_value,
@@ -23,11 +23,9 @@ from repro.solver.result import SolveResult
 
 @pytest.fixture(autouse=True)
 def clean_state():
-    set_cache(None)
     telemetry.disable()
     telemetry.get_registry().reset()
     yield
-    set_cache(None)
     telemetry.disable()
     telemetry.get_registry().reset()
 
@@ -169,9 +167,9 @@ class TestStore:
 class TestFacadeIntegration:
     def test_second_solve_is_served_from_cache(self):
         script = _script(CUBES)
-        cache = SolveCache()
-        first = solve_script(script, budget=200_000, cache=cache)
-        second = solve_script(script, budget=200_000, cache=cache)
+        with activated(SolveCache()):
+            first = solve_script(script, budget=200_000)
+            second = solve_script(script, budget=200_000)
         assert not first.cached and second.cached
         assert second.status == first.status
         assert second.model == first.model
@@ -186,16 +184,18 @@ class TestFacadeIntegration:
             "(assert (< x y))(assert (> x 1))(assert (= (* y x) 77))\n"
             "(check-sat)\n"
         )
-        solve_script(script, budget=200_000, cache=cache)
-        hit = solve_script(permuted, budget=200_000, cache=cache)
+        with activated(cache):
+            solve_script(script, budget=200_000)
+            hit = solve_script(permuted, budget=200_000)
         assert hit.cached
         assert hit.status == "sat"
 
     def test_different_budget_misses(self):
         cache = SolveCache()
         script = _script(CUBES)
-        solve_script(script, budget=200_000, cache=cache)
-        other = solve_script(script, budget=100_000, cache=cache)
+        with activated(cache):
+            solve_script(script, budget=200_000)
+            other = solve_script(script, budget=100_000)
         assert not other.cached
 
     def test_active_cache_is_used(self):
@@ -213,8 +213,9 @@ class TestFacadeIntegration:
             "(assert (= (bvmul v (_ bv4 8)) (_ bv20 8)))\n"
             "(check-sat)\n"
         )
-        first = solve_script(script, cache=cache)
-        second = solve_script(script, cache=cache)
+        with activated(cache):
+            first = solve_script(script)
+            second = solve_script(script)
         assert second.cached
         assert second.model == first.model
         assert isinstance(second.model["v"], BVValue)
@@ -223,9 +224,11 @@ class TestFacadeIntegration:
         path = tmp_path / "cache.json"
         script = _script(CUBES)
         cache = SolveCache(path=path)
-        fresh = solve_script(script, budget=200_000, cache=cache)
+        with activated(cache):
+            fresh = solve_script(script, budget=200_000)
         cache.save()
-        rehydrated = solve_script(script, budget=200_000, cache=SolveCache(path=path))
+        with activated(SolveCache(path=path)):
+            rehydrated = solve_script(script, budget=200_000)
         assert rehydrated.cached
         assert rehydrated.status == fresh.status
         assert rehydrated.model == fresh.model
